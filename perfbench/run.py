@@ -1,6 +1,6 @@
 """trace-lab benchmark.
 
-    python3 perfbench/run.py --workload catalog --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload catalog --seed 0 --seconds 35 --trace 0
 
 Run from the root of a checkout.  The program is imported from ./src; the
 benchmark refuses to run (exit 2) when it is missing.  Every job runs in this
@@ -40,8 +40,7 @@ OUT_DIR = ROOT / ".bench_out"
 EXPECTED_PATH = HERE / "expected.json"
 
 JOB_TIMEOUT_S = 40
-SETUP_ROUNDS = 5
-SETUP_MIN_S = 1.0
+SETUP_STEP_S = 0.05
 WORKLOAD_NAMES = ("catalog", "sweep-edge", "single-ops")
 
 sys.dont_write_bytecode = True
@@ -110,13 +109,7 @@ def run_job(cli, job):
 
 
 def run_pass(cli, workload, tracer=None):
-    """One pass over the job list: (pass seconds, [(seconds, code, stdout, error)]).
-
-    A traced pass first builds the workload's rings once (job id -1), so that
-    the construction layers are traced even where the jobs skip them."""
-    if tracer is not None:
-        tracer.job = -1
-        build_rings(workload)
+    """One pass over the job list: (pass seconds, [(seconds, code, stdout, error)])."""
     gc.collect()
     results = []
     t0 = time.perf_counter()
@@ -127,20 +120,28 @@ def run_pass(cli, workload, tracer=None):
     return time.perf_counter() - t0, results
 
 
-def run_passes(cli, workload, count, tracer_factory=None):
-    """`count` passes; each traced by a fresh tracer when `tracer_factory` is given."""
-    passes, tracers = [], []
-    for _ in range(count):
-        tracer = tracer_factory() if tracer_factory else None
-        if tracer is not None:
-            tracer.install()
-        try:
-            passes.append(run_pass(cli, workload, tracer))
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
-                tracers.append(tracer)
-    return passes, tracers
+def run_traced_pass(cli, workload, tracer):
+    """One pass with `tracer` installed: (run_pass's result, tracer)."""
+    tracer.install()
+    try:
+        return run_pass(cli, workload, tracer), tracer
+    finally:
+        tracer.uninstall()
+
+
+def repeat(step, seconds, minimum):
+    """Results of step(), called at least `minimum` times and then while the
+    next call, if as slow as the slowest so far, would end within `seconds`."""
+    results = []
+    start = time.perf_counter()
+    slowest = 0.0
+    while True:
+        t0 = time.perf_counter()
+        results.append(step())
+        t1 = time.perf_counter()
+        slowest = max(slowest, t1 - t0)
+        if len(results) >= minimum and t1 + slowest - start > seconds:
+            return results
 
 
 def build_rings(workload):
@@ -158,16 +159,15 @@ def build_rings(workload):
         finalg.product_algebra(built[i], built[j])
 
 
-def measure_setup(workload):
-    """Median seconds of build_rings, over at least SETUP_ROUNDS rounds and
-    at least SETUP_MIN_S seconds."""
+def time_setup(workload):
+    """Seconds of each build_rings round, repeated for at least SETUP_STEP_S seconds."""
     times = []
-    while len(times) < SETUP_ROUNDS or sum(times) < SETUP_MIN_S:
+    while sum(times) < SETUP_STEP_S:
         gc.collect()
         t0 = time.perf_counter()
         build_rings(workload)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return times
 
 
 # -- correctness gate -------------------------------------------------------------
@@ -250,26 +250,29 @@ def peak_rss_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def end_to_end(passes, setup_s):
-    """Each pass and each job is timed as its fastest repetition (min of N).
+def end_to_end(passes, setup_times):
+    """Each job and the set-up is timed as its fastest repetition (min of N),
+    and a pass as the sum of its jobs' fastest times.
 
-    The host's speed drifts by 15-30% over minutes, so medians of passes
-    spread that much between runs; the fastest repetition spreads about a
-    third as much, and is what a faster program moves."""
+    The host's speed drifts by 15-35% over minutes, so medians of passes
+    spread that much between runs.  A job's fastest repetition spreads less,
+    and is what a faster program moves; summing them needs only each job,
+    not a whole pass, to meet a quiet stretch of the host."""
     fastest = [min(results[j][0] for _, results in passes) for j in range(len(passes[0][1]))]
     value, pct, beyond = tail(fastest)
     metrics = {
-        "wall_s": (min(p[0] for p in passes), "s"),
+        "wall_s": (sum(fastest), "s"),
         "job_p50_s": (statistics.median(fastest), "s"),
         "job_tail_s": (value, "s"),
-        "setup_s": (setup_s, "s"),
+        "setup_s": (min(setup_times), "s"),
         "peak_rss_mib": (peak_rss_mib(), "MiB"),
     }
     notes = {
-        "wall_s": f"fastest of {len(passes)} passes",
-        "job_p50_s": f"median of {len(fastest)} jobs, each its fastest of {len(passes)} passes",
+        "wall_s": f"sum over {len(fastest)} jobs of each job's fastest of {len(passes)} passes; "
+        f"fastest whole pass {min(p[0] for p in passes):.6f} s",
+        "job_p50_s": f"median of the same {len(fastest)} job times",
         "job_tail_s": f"p{pct:.1f} of the same {len(fastest)} job times, {beyond} beyond it",
-        "setup_s": "median of the set-up rounds",
+        "setup_s": f"fastest of {len(setup_times)} set-up rounds, run before each pass",
     }
     return metrics, notes
 
@@ -317,9 +320,7 @@ def per_layer(tracers, overhead_s):
     m["numsgp.semigroup_new.s"] = (total_s("numsgp.semigroup_new"), "s")
     m["numsgp.gaps_built"] = (count("numsgp.gaps_built"), "count")
     m["numsgp.enumerate_normalized_ideals.s"] = (total_s("numsgp.enumerate_normalized_ideals"), "s")
-    m["numsgp.masks_visited"] = (count("numsgp.masks_visited"), "count")
     m["numsgp.ideals_found"] = (count("numsgp.ideals_found"), "count")
-    m["numsgp.ideal_yield"] = (ratio("numsgp.ideals_found", "numsgp.masks_visited"), "ratio")
     for name in ("numsgp.trace", "numsgp.contains", "numsgp.from_members"):
         m[f"{name}.calls"] = (count(f"{name}.calls"), "count")
     m["verify.lp_suite.self_s"] = (self_s("verify.lp_suite"), "s")
@@ -364,19 +365,13 @@ def parse_args(argv):
 
 def record_expected(cli, workloads):
     """Write the per-job digests of the default and the held-out seed, after the oracles pass."""
-    from oracles import check_job, digest
-
     table = {}
     for name in WORKLOAD_NAMES:
         for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
             workload = workloads.build(name, seed)
-            _, results = run_pass(cli, workload)
-            digests = []
-            for job, (_, code, stdout, error) in zip(workload.jobs, results):
-                problem = error or check_job(job.check, code, stdout)
-                if problem:
-                    raise SystemExit(f"error: {name} seed {seed} {' '.join(job.argv[:2])}: {problem}")
-                digests.append(digest(code, stdout))
+            failed, failures, digests = gate(workload, [run_pass(cli, workload)], {})
+            if failed:
+                raise SystemExit(f"error: {name} seed {seed}: {failures[0]}")
             table.setdefault(name, {})[str(seed)] = digests
             print(f"{name} seed {seed}: {len(digests)} jobs")
     with open(EXPECTED_PATH, "w", encoding="utf-8") as handle:
@@ -405,19 +400,19 @@ def main(argv=None) -> int:
 
     record = {"workload": workload.name, "env": env, "trace": args.trace, "seconds": args.seconds}
     if args.trace == 0:
-        setup_s = measure_setup(workload)
-        passes, _ = run_passes(cli, workload, workload.passes(args.seconds))
-        measured, notes = end_to_end(passes, setup_s)
+        # Set-up rounds run before every pass, so that they sample the same
+        # stretch of the host's drift as the passes do.
+        rounds = repeat(lambda: (time_setup(workload), run_pass(cli, workload)), args.seconds, 3)
+        passes = [p for _, p in rounds]
+        measured, notes = end_to_end(passes, [t for times, _ in rounds for t in times])
         extra_lines = []
     else:
         # Alternate untraced and traced passes, so that drift in the host's
         # speed falls on both sides of trace.overhead_s alike.
-        untraced, traced, tracers = [], [], []
-        for _ in range(workload.passes(args.seconds / 2, minimum=2)):
-            untraced += run_passes(cli, workload, 1)[0]
-            passes, new_tracers = run_passes(cli, workload, 1, Tracer)
-            traced += passes
-            tracers += new_tracers
+        rounds = repeat(lambda: (run_pass(cli, workload), run_traced_pass(cli, workload, Tracer())), args.seconds, 2)
+        untraced = [p for p, _ in rounds]
+        traced = [p for _, (p, _) in rounds]
+        tracers = [t for _, (_, t) in rounds]
         overhead = min(p[0] for p in traced) - min(p[0] for p in untraced)
         passes = untraced + traced
         measured, notes = per_layer(tracers, overhead), {}

@@ -22,32 +22,34 @@ from oracles import semigroup
 DEFAULT_SEED = 0
 HELD_OUT_SEED = 1807
 
-# Semigroups with exactly 24 gaps, the default gap cap, whose LP suites cost
-# the same to within the noise (4.0 s on the reference machine).  <7,9>
-# (715 ideals, about 20% slower) and <2,49> (about 60% slower) are left out so
-# that the seed does not move wall_s.
-SWEEP_SEMIGROUPS = ((5, 13), (4, 17), (3, 25))
+# A semigroup with 22 gaps, two below the default gap cap, whose LP suite
+# takes 1.05 s on the reference machine, nearly all of it in the 2^22
+# gap-mask loop.  At the cap itself (24 gaps) one LP suite takes 4-5 s, so a
+# run would hold only three or four samples of it, too few for the fastest one
+# to repeat while the host's speed swings by a third.  The other 22-gap
+# semigroups with two generators, <3,23> and <2,45>, cost 10% and 20% more, so
+# the seed does not pick the semigroup.
+SWEEP_SEMIGROUP = (5, 12)
 
 # Local F_2-algebras of dimension 7 with monomial relations; each LP suite
-# sweeps the 29,212 subspaces of F_2^7 (about 1.3 s), and their FinAlgebra.mul
-# counts agree to within 4%.  Only F_2[x]/(x^7) is Gorenstein.
+# sweeps the 29,212 subspaces of F_2^7 (1.5 s), and these five make between
+# 137,795 and 142,367 FinAlgebra.mul calls.  Three others, such as
+# (x^2, x*y^2, y^5) with 147,050, are left out.  Only F_2[x]/(x^7) is Gorenstein.
 SWEEP_F2_DIM7 = (
     (("x",), ("x^7",)),
     (("x", "y"), ("x^3", "x*y", "y^5")),
     (("x", "y"), ("x^4", "x*y", "y^4")),
     (("x", "y"), ("x^5", "x*y", "y^3")),
     (("x", "y"), ("x^3", "x^2*y", "y^3")),
-    (("x", "y"), ("x^2", "y^4", "x*y^3")),
-    (("x", "y"), ("x^2", "x*y^2", "y^5")),
-    (("x", "y", "z"), ("x^2", "y^2", "z^2", "x*y*z")),
 )
 
-# Primes near 100 for F_p[x]/(x^2), whose identity suite sweeps all p^2
-# elements; two neighbours, so that the seed moves that sweep by 4% at most.
-SWEEP_PRIMES = (101, 103)
+# F_p[t]/(t^2), whose identity suite sweeps all p^2 elements (0.5 s at
+# p = 53; 2.1 s at p = 101); one prime, because the cost grows faster than p^2
+# and a neighbouring prime would move it by 10%.  The seed names the variable.
+SWEEP_PRIME = 53
 
-# Numerical semigroups of genus 224-360, beyond the 24-gap cap.
-SINGLE_SEMIGROUPS = ((20, 33), (25, 31), (19, 37))
+# Numerical semigroups of genus 304 and 324, beyond the 24-gap cap.
+SINGLE_SEMIGROUPS = ((20, 33), (19, 37))
 
 VARIABLE_NAMES = (("x", "y", "z"), ("u", "v", "w"), ("a", "b", "c"), ("r", "s", "t"))
 
@@ -55,9 +57,9 @@ WHY = {
     "catalog": "The north-star command: trace-lab catalog --suite all --format json, "
     "whose 62,124-byte JSON is the regression oracle. Mixed profile: enumerate_ideals, "
     "FinAlgebra.mul, linalg.rref and reduce_vector; numsgp and ring construction are tiny.",
-    "sweep-edge": "LP and identity suites on rings at the enumeration caps, where the "
-    "exhaustive sweeps dominate and yield almost nothing: the 2^24 gap-mask loop, the "
-    "29,212 subspaces of F_2^7 and the p^2 element sweeps of F_p[x]/(x^2).",
+    "sweep-edge": "LP and identity suites on rings at or near the enumeration caps, where "
+    "the exhaustive sweeps dominate and yield almost nothing: the 2^22 gap-mask loop, the "
+    "29,212 subspaces of F_2^7 and the p^2 element sweep of F_53[t]/(t^2).",
     "single-ops": "One-shot --op calls on rings beyond the suite caps, with no enumeration: "
     "a few large calls to ideal_sum/ideal_colon/contains, hom_module, is_isomorphic and "
     "ring construction, plus two tiny suite runs. The bypass workload for the sweep changes.",
@@ -79,12 +81,6 @@ class Job:
     check: tuple
 
 
-# Seconds one pass over the job list took at the seed state on the reference
-# machine (2-core Xeon, Python 3.11).  A run makes round(seconds / this) passes,
-# so both sides of a comparison measure the same number of job samples.
-NOMINAL_PASS_S = {"catalog": 0.8, "sweep-edge": 9.0, "single-ops": 8.5}
-
-
 @dataclass(frozen=True)
 class Workload:
     name: str
@@ -92,9 +88,6 @@ class Workload:
     jobs: tuple
     rings: tuple  # ring-spec JSON documents, built once per set-up round
     products: tuple = ()  # (i, j): product_algebra of rings[i] and rings[j]
-
-    def passes(self, seconds: float, minimum: int = 1) -> int:
-        return max(minimum, round(seconds / NOMINAL_PASS_S[self.name]))
 
     @property
     def why(self) -> str:
@@ -126,13 +119,13 @@ def _catalog(seed):
 
 def _sweep_edge(seed):
     rng = random.Random(f"sweep-edge/{seed}")
-    gens = rng.choice(SWEEP_SEMIGROUPS)
+    gens = SWEEP_SEMIGROUP
     variables, relations = rng.choice(SWEEP_F2_DIM7)
     names = rng.choice(VARIABLE_NAMES)[: len(variables)]
     relations = tuple(_rename(r, variables, names) for r in relations)
-    p = rng.choice(SWEEP_PRIMES)
+    t = rng.choice("stuw")
     local = artinian_spec(2, names, relations)
-    fp = artinian_spec(p, ("t",), ("t^2",))
+    fp = artinian_spec(SWEEP_PRIME, (t,), (f"{t}^2",))
     jobs = (
         Job(
             ("semigroup", "--gens", ",".join(map(str, gens)), "--suite", "lp", "--format", "json"),
@@ -214,25 +207,26 @@ def _single_ops(seed):
     a, b, c = rng.sample("xyz", 3)
     algebra(2, 3, ("x^3", "y^3", "z^3"), (
         ("trace", (f"{a}*{b}",)),
-        ("ann", (f"{a}^2,{b}*{c}",)),
-        ("colon", (f"{a}^2", f"{b}*{c}")),
         ("iso", (f"{a}*{b}", f"{a}*{c}")),
     ))
-    # F_3[x,y]/(x^4,y^4), dim 16: iso((x),(y)) is false and tries all 3^9 maps.
+    # F_3[x,y]/(x^4,y^4), dim 16: iso((x^2),(y^2)) is false and tries all 3^4 maps.
     a, b = rng.sample("xy", 2)
     algebra(3, 2, ("x^4", "y^4"), (
-        ("iso", (a, b)),
+        ("iso", (f"{a}^2", f"{b}^2")),
         ("trace", (f"{a}^2*{b}",)),
+    ))
+    # F_5[x,y]/(x^3,y^3), dim 9: iso((x),(y)) is false and tries all 5^4 maps.
+    a, b = rng.sample("xy", 2)
+    algebra(5, 2, ("x^3", "y^3"), (
+        ("iso", (a, b)),
     ))
     # F_5[x,y]/(x^4,y^5), dim 20.
     algebra(5, 2, ("x^4", "y^5"), (
-        ("trace", ("x",)),
         ("ann", ("x,y",)),
         ("colon", ("x^2", "x*y")),
     ))
     # F_7[x,y]/(x^5+6y^7, x^2y^2), dim 24: binomial relation, Gorenstein.
     algebra(7, 2, ("x^5+6*y^7", "x^2*y^2"), (
-        ("trace", ("x",)),
         ("ann", ("x,y",)),
     ))
     # F_2[x,y]/(x^3,y^4), dim 12.
@@ -247,7 +241,8 @@ def _single_ops(seed):
     rings.append(semigroup_spec(gens))
     jobs.append(Job(("semigroup", "--gens", ",".join(map(str, gens)), "--suite", "lp", "--format", "json"),
                     ("semigroup-lp", gens)))
-    tiny = artinian_spec(rng.choice((2, 3, 5)), ("t",), ("t^3",))
+    t = rng.choice("stuw")
+    tiny = artinian_spec(3, (t,), (f"{t}^3",))
     rings.append(tiny)
     jobs.append(Job(("artinian", "--spec", tiny, "--suite", "identities", "--format", "json"), ("identities",)))
     return Workload("single-ops", seed, tuple(jobs), tuple(rings))
