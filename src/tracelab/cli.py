@@ -14,8 +14,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import SpecError, TraceLabError
-from .finalg import FinAlgebra, algebra_from_presentation
+from .errors import NotNumericalSemigroupError, SpecError, StructureError, TraceLabError
+from .finalg import algebra_from_presentation
 from .numsgp import (
     dual,
     endo_semigroup,
@@ -25,7 +25,9 @@ from .numsgp import (
     is_translate,
     semigroup_new,
     trace,
+    validate_generators,
 )
+from .polyfp import PrimeField
 from .verify import (
     default_caps,
     emit_reports,
@@ -61,15 +63,20 @@ class RingSpec:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+def _json_list(data: dict, key: str, item_type: type, default=None) -> tuple:
+    """data[key] as a tuple; it must be a JSON array whose items are all item_type."""
+    value = data.get(key, default)
+    if not isinstance(value, list) or any(type(x) is not item_type for x in value):
+        raise SpecError("bad-schema", f"{key!r} must be an array of {item_type.__name__} values")
+    return tuple(value)
 
 
 def parse_ring_spec(document: str) -> RingSpec:
     """Parse and validate a ring-spec JSON document.
 
     Distinct error codes: malformed-json, bad-schema, unknown-kind,
-    non-prime-field, gcd-not-one.
+    non-prime-field, gcd-not-one.  Integers must be JSON integers and lists
+    JSON arrays; nothing is coerced.
     """
     try:
         data = json.loads(document)
@@ -79,27 +86,22 @@ def parse_ring_spec(document: str) -> RingSpec:
         raise SpecError("bad-schema", "ring spec must be an object with a 'kind' key")
     kind = data["kind"]
     if kind == "artinian":
+        p = data.get("field")
+        if type(p) is not int:
+            raise SpecError("bad-schema", "artinian spec needs an integer 'field'")
+        variables = _json_list(data, "vars", str, [])
+        relations = _json_list(data, "relations", str, [])
         try:
-            p = int(data["field"])
-            variables = tuple(str(v) for v in data.get("vars", []))
-            relations = tuple(str(r) for r in data.get("relations", []))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError("bad-schema", f"bad artinian spec: {exc}") from exc
-        if not _is_prime(p):
-            raise SpecError("non-prime-field", f"field characteristic {p} is not prime")
+            PrimeField(p)
+        except StructureError as exc:
+            raise SpecError("non-prime-field", f"field characteristic {p} is not prime") from exc
         return RingSpec(kind="artinian", p=p, variables=variables, relations=relations)
     if kind == "semigroup":
+        gens = _json_list(data, "generators", int)
         try:
-            gens = tuple(int(g) for g in data["generators"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError("bad-schema", f"bad semigroup spec: {exc}") from exc
-        from math import gcd
-
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
-        if not gens or any(x <= 0 for x in gens) or g != 1:
-            raise SpecError("gcd-not-one", f"generators {list(gens)} do not have gcd 1")
+            validate_generators(gens)
+        except NotNumericalSemigroupError as exc:
+            raise SpecError("gcd-not-one", str(exc)) from exc
         return RingSpec(kind="semigroup", generators=gens)
     raise SpecError("unknown-kind", f"unknown ring kind {kind!r}")
 
@@ -122,6 +124,56 @@ def _caps_from_env() -> dict:
     return caps
 
 
+def _artinian_ideal(algebra, text: str):
+    return algebra.ideal_generate([algebra.element(g) for g in text.split(",") if g.strip()])
+
+
+def _semigroup_ideal(sgp, text: str):
+    try:
+        offsets = [int(z) for z in text.split(",") if z.strip()]
+    except ValueError as exc:
+        raise SpecError("bad-schema", f"bad ideal offsets {text!r}") from exc
+    return ideal_from_gens(sgp, offsets)
+
+
+# Per ring kind: the flag that gives an ideal, its parser, and for each op the
+# number of ideals it takes and its result text (one line per listed ideal).
+_OPS = {
+    "artinian": (
+        "--ideal-gens",
+        _artinian_ideal,
+        {
+            "trace": (1, lambda a, ideals, caps: a.format_ideal(a.trace_ideal(ideals[0]))),
+            "colon": (2, lambda a, ideals, caps: a.format_ideal(a.colon_in_ring(*ideals))),
+            "ann": (1, lambda a, ideals, caps: a.format_ideal(a.annihilator(ideals[0]))),
+            "iso": (2, lambda a, ideals, caps: str(a.is_isomorphic(*ideals, caps["hom"])).lower()),
+            "enumerate": (
+                0,
+                lambda a, ideals, caps: "\n".join(map(a.format_ideal, a.enumerate_ideals(caps["dim"]))),
+            ),
+        },
+    ),
+    "semigroup": (
+        "--ideal",
+        _semigroup_ideal,
+        {
+            "trace": (1, lambda s, ideals, caps: trace(ideals[0]).format()),
+            "colon": (2, lambda s, ideals, caps: ideal_colon(*ideals).format()),
+            "dual": (1, lambda s, ideals, caps: dual(ideals[0]).format()),
+            "endo": (
+                1,
+                lambda s, ideals, caps: ",".join(map(str, endo_semigroup(ideals[0].normalized()).generators)),
+            ),
+            "iso": (2, lambda s, ideals, caps: str(w.offset) if (w := is_translate(*ideals)) else "none"),
+            "enumerate": (
+                0,
+                lambda s, ideals, caps: "\n".join(e.format() for e in enumerate_normalized_ideals(s, caps["gaps"])),
+            ),
+        },
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trace-lab",
@@ -138,38 +190,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cap-gaps", type=int, dest="cap_gaps", help="semigroup gap-count cap")
         sp.add_argument("--cap-hom", type=int, dest="cap_hom", help="isomorphism search budget exponent")
 
+    def add_ops(sp, kind, ideal_help):
+        flag, _, ops = _OPS[kind]
+        sp.add_argument("--op", choices=tuple(ops), help=f"single operation; ideals are given with {flag}")
+        sp.add_argument(
+            flag, action="append", default=[], dest="ideals", help=f"{ideal_help}; repeat for binary operations"
+        )
+        add_common(sp)
+
     art = sub.add_parser("artinian", help="finite-dimensional local F_p-algebra operations")
     art.add_argument("--spec", required=True, help="ring-spec JSON file (or inline JSON document)")
-    art.add_argument(
-        "--op",
-        choices=("trace", "colon", "ann", "iso", "enumerate"),
-        help="single operation; ideals are given with --ideal-gens",
-    )
-    art.add_argument(
-        "--ideal-gens",
-        action="append",
-        default=[],
-        dest="ideal_gens",
-        help="comma-separated polynomial generators of an ideal; repeat for binary operations",
-    )
-    add_common(art)
+    add_ops(art, "artinian", "comma-separated polynomial generators of an ideal")
 
     sgp = sub.add_parser("semigroup", help="numerical semigroup ring operations")
     sgp.add_argument("--spec", help="ring-spec JSON file (or inline JSON document)")
     sgp.add_argument("--gens", help="comma-separated semigroup generators, e.g. 3,4")
-    sgp.add_argument(
-        "--op",
-        choices=("trace", "colon", "dual", "endo", "iso", "enumerate"),
-        help="single operation; ideals are given with --ideal",
-    )
-    sgp.add_argument(
-        "--ideal",
-        action="append",
-        default=[],
-        dest="ideals",
-        help="comma-separated ideal offsets; repeat for binary operations",
-    )
-    add_common(sgp)
+    add_ops(sgp, "semigroup", "comma-separated ideal offsets")
 
     cat = sub.add_parser("catalog", help="run suites over the built-in catalog")
     add_common(cat)
@@ -185,6 +221,25 @@ def _load_spec_argument(text: str) -> RingSpec:
             return parse_ring_spec(handle.read())
     except OSError as exc:
         raise SpecError("bad-schema", f"cannot read spec file {text!r}: {exc}") from exc
+
+
+def _spec_from_args(args) -> RingSpec:
+    gens = getattr(args, "gens", None)
+    if gens and args.spec:
+        raise SpecError("bad-schema", "pass either --gens or --spec, not both")
+    if gens:
+        try:
+            generators = [int(g) for g in gens.split(",") if g.strip()]
+        except ValueError as exc:
+            raise SpecError("bad-schema", f"bad --gens list {gens!r}") from exc
+        spec = parse_ring_spec(json.dumps({"kind": "semigroup", "generators": generators}))
+    elif args.spec:
+        spec = _load_spec_argument(args.spec)
+    else:
+        raise SpecError("bad-schema", "semigroup subcommand needs --gens or --spec")
+    if spec.kind != args.command:
+        raise SpecError("bad-schema", f"{args.command} subcommand needs a ring spec of kind {args.command!r}")
+    return spec
 
 
 def _caps_from_args(args) -> dict:
@@ -206,73 +261,25 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _artinian_ideal(algebra: FinAlgebra, gens_text: str):
-    gens = [algebra.element(g) for g in gens_text.split(",") if g.strip()]
-    return algebra.ideal_generate(gens)
-
-
-def _run_artinian_op(algebra: FinAlgebra, args, caps) -> tuple[int, str]:
-    takes = {"trace": 1, "ann": 1, "colon": 2, "iso": 2, "enumerate": 0}[args.op]
-    if len(args.ideal_gens) != takes:
-        raise SpecError(
-            "bad-schema", f"op {args.op!r} needs {takes} --ideal-gens argument(s), got {len(args.ideal_gens)}"
-        )
-    ideals = [_artinian_ideal(algebra, g) for g in args.ideal_gens]
-    if args.op == "trace":
-        result = algebra.format_ideal(algebra.trace_ideal(ideals[0]))
-    elif args.op == "ann":
-        result = algebra.format_ideal(algebra.annihilator(ideals[0]))
-    elif args.op == "colon":
-        result = algebra.format_ideal(algebra.colon_in_ring(ideals[0], ideals[1]))
-    elif args.op == "iso":
-        result = "true" if algebra.is_isomorphic(ideals[0], ideals[1], caps["hom"]) else "false"
-    else:
-        listed = [algebra.format_ideal(i) for i in algebra.enumerate_ideals(caps["dim"])]
-        result = "\n".join(listed)
-    if args.fmt == "json":
-        return 0, json.dumps({"result": result.split("\n") if args.op == "enumerate" else result}) + "\n"
-    return 0, result + "\n"
-
-
-def _run_semigroup_op(sgp, args, caps) -> tuple[int, str]:
-    takes = {"trace": 1, "dual": 1, "endo": 1, "colon": 2, "iso": 2, "enumerate": 0}[args.op]
+def _run_op(kind: str, ring, args, caps) -> str:
+    flag, parse_ideal, ops = _OPS[kind]
+    takes, result_of = ops[args.op]
     if len(args.ideals) != takes:
-        raise SpecError(
-            "bad-schema", f"op {args.op!r} needs {takes} --ideal argument(s), got {len(args.ideals)}"
-        )
-    def parse_offsets(text):
-        try:
-            return [int(z) for z in text.split(",") if z.strip()]
-        except ValueError as exc:
-            raise SpecError("bad-schema", f"bad ideal offsets {text!r}") from exc
-
-    ideals = [ideal_from_gens(sgp, parse_offsets(t)) for t in args.ideals]
-    if args.op == "trace":
-        result = trace(ideals[0]).format()
-    elif args.op == "dual":
-        result = dual(ideals[0]).format()
-    elif args.op == "endo":
-        result = ",".join(map(str, endo_semigroup(ideals[0].normalized()).generators))
-    elif args.op == "colon":
-        result = ideal_colon(ideals[0], ideals[1]).format()
-    elif args.op == "iso":
-        witness = is_translate(ideals[0], ideals[1])
-        result = str(witness.offset) if witness else "none"
-    else:
-        result = "\n".join(e.format() for e in enumerate_normalized_ideals(sgp, caps["gaps"]))
+        raise SpecError("bad-schema", f"op {args.op!r} needs {takes} {flag} argument(s), got {len(args.ideals)}")
+    result = result_of(ring, [parse_ideal(ring, text) for text in args.ideals], caps)
     if args.fmt == "json":
-        return 0, json.dumps({"result": result.split("\n") if args.op == "enumerate" else result}) + "\n"
-    return 0, result + "\n"
+        return json.dumps({"result": result.split("\n") if args.op == "enumerate" else result}) + "\n"
+    return result + "\n"
 
 
-def _run_suites(target, suite: str, caps) -> list:
-    if suite == "lp":
-        runner = run_artinian_lp_suite if isinstance(target, FinAlgebra) else run_semigroup_lp_suite
-        return [runner(target, caps)]
-    if suite == "identities":
-        return [run_identity_suite(target, caps)]
-    lp = run_artinian_lp_suite(target, caps) if isinstance(target, FinAlgebra) else run_semigroup_lp_suite(target, caps)
-    return [lp, run_identity_suite(target, caps)]
+def _run_suites(kind: str, ring, suite: str, caps) -> list:
+    reports = []
+    if suite in ("lp", "all"):
+        lp_suite = run_artinian_lp_suite if kind == "artinian" else run_semigroup_lp_suite
+        reports.append(lp_suite(ring, caps))
+    if suite in ("identities", "all"):
+        reports.append(run_identity_suite(ring, caps))
+    return reports
 
 
 def run(argv=None) -> int:
@@ -285,47 +292,20 @@ def run(argv=None) -> int:
         caps = _caps_from_args(args)
         if args.command == "catalog":
             reports = run_catalog(args.suite or "all", caps)
-            _emit(emit_reports(reports, args.fmt), args.out)
-            return 1 if reports_have_failures(reports) else 0
-
-        if args.command == "artinian":
-            spec = _load_spec_argument(args.spec)
-            if spec.kind != "artinian":
-                raise SpecError("bad-schema", "artinian subcommand needs an artinian ring spec")
-            algebra = algebra_from_presentation(spec.p, spec.variables, spec.relations)
+        else:
+            spec = _spec_from_args(args)
+            if spec.kind == "artinian":
+                ring = algebra_from_presentation(spec.p, spec.variables, spec.relations)
+            else:
+                ring = semigroup_new(spec.generators)
             if args.op and args.suite:
                 raise SpecError("bad-schema", "choose either --op or --suite, not both")
             if args.op:
-                code, text = _run_artinian_op(algebra, args, caps)
-                _emit(text, args.out)
-                return code
+                _emit(_run_op(spec.kind, ring, args, caps), args.out)
+                return 0
             if not args.suite:
                 raise SpecError("bad-schema", "nothing to do: pass --op or --suite")
-            reports = _run_suites(algebra, args.suite, caps)
-            _emit(emit_reports(reports, args.fmt), args.out)
-            return 1 if reports_have_failures(reports) else 0
-
-        # semigroup
-        if args.gens and args.spec:
-            raise SpecError("bad-schema", "pass either --gens or --spec, not both")
-        if args.gens:
-            spec = parse_ring_spec(json.dumps({"kind": "semigroup", "generators": [g for g in args.gens.split(",") if g.strip()]}))
-        elif args.spec:
-            spec = _load_spec_argument(args.spec)
-        else:
-            raise SpecError("bad-schema", "semigroup subcommand needs --gens or --spec")
-        if spec.kind != "semigroup":
-            raise SpecError("bad-schema", "semigroup subcommand needs a semigroup ring spec")
-        sgp = semigroup_new(spec.generators)
-        if args.op and args.suite:
-            raise SpecError("bad-schema", "choose either --op or --suite, not both")
-        if args.op:
-            code, text = _run_semigroup_op(sgp, args, caps)
-            _emit(text, args.out)
-            return code
-        if not args.suite:
-            raise SpecError("bad-schema", "nothing to do: pass --op or --suite")
-        reports = _run_suites(sgp, args.suite, caps)
+            reports = _run_suites(spec.kind, ring, args.suite, caps)
         _emit(emit_reports(reports, args.fmt), args.out)
         return 1 if reports_have_failures(reports) else 0
     except SpecError as exc:

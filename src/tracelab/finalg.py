@@ -26,6 +26,7 @@ from .polyfp import (
     PrimeField,
     buchberger,
     display_key,
+    normal_form,
     standard_monomials,
 )
 
@@ -143,15 +144,14 @@ class FinAlgebra:
                 if self.table[i][j] != self.table[j][i]:
                     raise StructureError("multiplication table is not commutative")
         for i in range(d):
-            e_i = self.basis_vector(i)
-            if self.mul(self.unit, e_i) != e_i:
+            if self.mul_basis(i, self.unit) != self.basis_vector(i):
                 raise StructureError("unit does not act as the identity")
         for i in range(d):
             for j in range(d):
                 ij = self.table[i][j]
                 for k in range(d):
-                    left = self.mul(ij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), self.table[j][k])
+                    left = self.mul_basis(k, ij)
+                    right = self.mul_basis(i, self.table[j][k])
                     if left != right:
                         raise StructureError("multiplication table is not associative")
 
@@ -178,6 +178,15 @@ class FinAlgebra:
                     out[k] += c * row[k]
         return tuple(x % p for x in out)
 
+    def mul_basis(self, i, v):
+        """e_i * v, read from row i of the table (the regular representation of e_i)."""
+        out = [0] * self.dim
+        for vj, row in zip(v, self.table[i]):
+            if vj:
+                for k, x in enumerate(row):
+                    out[k] += vj * x
+        return tuple(x % self.field.p for x in out)
+
     def all_elements(self):
         """Every element of the algebra, in lexicographic coordinate order."""
         return (tuple(v) for v in itertools.product(range(self.field.p), repeat=self.dim))
@@ -186,20 +195,8 @@ class FinAlgebra:
         """Coordinate vector of a polynomial expression in the presentation variables."""
         if self._presentation is None:
             raise StructureError("algebra has no polynomial presentation")
-        variables, groebner, order, _ = self._presentation
-        poly = Polynomial.parse(self.field, variables, text)
-        if groebner:
-            poly = _normal_form(poly, groebner, order)
-        return self._vector_of(poly)
-
-    def _vector_of(self, poly):
-        index = {m: k for k, m in enumerate(self._presentation[3])}
-        vec = [0] * self.dim
-        for mon, c in poly.terms.items():
-            if mon not in index:
-                raise StructureError("polynomial does not reduce into the basis")
-            vec[index[mon]] = c
-        return tuple(vec)
+        variables, groebner, order, index = self._presentation
+        return _reduced_vector(Polynomial.parse(self.field, variables, text), groebner, order, index)
 
     def format_element(self, vec) -> str:
         parts = []
@@ -234,7 +231,7 @@ class FinAlgebra:
         rows = [tuple(g) for g in gens]
         for g in list(rows):
             for i in range(self.dim):
-                rows.append(self.mul(self.basis_vector(i), g))
+                rows.append(self.mul_basis(i, g))
         return IdealSubspace(self.field.p, self.dim, rows)
 
     def principal_ideal(self, x) -> IdealSubspace:
@@ -242,9 +239,8 @@ class FinAlgebra:
 
     def is_ideal(self, sub: IdealSubspace) -> bool:
         for i in range(self.dim):
-            e_i = self.basis_vector(i)
             for row in sub.matrix:
-                if not sub.contains_vector(self.mul(e_i, row)):
+                if not sub.contains_vector(self.mul_basis(i, row)):
                     return False
         return True
 
@@ -255,11 +251,7 @@ class FinAlgebra:
     def annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
         """{r : r * ideal = 0}, as the left kernel of the stacked action maps."""
         stacked = [
-            tuple(
-                itertools.chain.from_iterable(
-                    self.mul(self.basis_vector(i), v) for v in ideal.matrix
-                )
-            )
+            tuple(itertools.chain.from_iterable(self.mul_basis(i, v) for v in ideal.matrix))
             for i in range(self.dim)
         ]
         return IdealSubspace(self.field.p, self.dim, linalg.left_kernel(stacked, self.dim, self.field.p))
@@ -269,9 +261,8 @@ class FinAlgebra:
         p = self.field.p
         stacked = []
         for i in range(self.dim):
-            e_i = self.basis_vector(i)
             residuals = [
-                linalg.reduce_vector(left.matrix, left.pivots, self.mul(e_i, w), p)
+                linalg.reduce_vector(left.matrix, left.pivots, self.mul_basis(i, w), p)
                 for w in right.matrix
             ]
             stacked.append(tuple(itertools.chain.from_iterable(residuals)))
@@ -292,9 +283,8 @@ class FinAlgebra:
             return HomBasis(domain, codomain, ())
         constraints = []
         for i in range(self.dim):
-            e_i = self.basis_vector(i)
-            lam = [domain.coordinates(self.mul(e_i, v)) for v in domain.matrix]
-            mu = [codomain.coordinates(self.mul(e_i, w)) for w in codomain.matrix]
+            lam = [domain.coordinates(self.mul_basis(i, v)) for v in domain.matrix]
+            mu = [codomain.coordinates(self.mul_basis(i, w)) for w in codomain.matrix]
             for a in range(s):
                 for bp in range(t):
                     row = [0] * (s * t)
@@ -375,14 +365,6 @@ class FinAlgebra:
             return self.factors
         raise StructureError("algebra carries neither a locality nor a product certificate")
 
-    def block_offsets(self):
-        offsets = []
-        off = 0
-        for f in self.local_factors():
-            offsets.append(off)
-            off += f.dim
-        return tuple(offsets)
-
     def is_gorenstein(self) -> bool:
         """Socle criterion: the annihilator of the maximal ideal is 1-dimensional."""
         if self.is_local:
@@ -455,10 +437,16 @@ class FinAlgebra:
         return tuple(out)
 
 
-def _normal_form(poly, groebner, order):
-    from .polyfp import normal_form
-
-    return normal_form(poly, groebner, order)
+def _reduced_vector(poly, groebner, order, index):
+    """Coordinates of the normal form of poly in the standard-monomial basis."""
+    if groebner:
+        poly = normal_form(poly, groebner, order)
+    vec = [0] * len(index)
+    for mon, c in poly.terms.items():
+        if mon not in index:
+            raise StructureError("polynomial does not reduce into the basis")
+        vec[index[mon]] = c
+    return tuple(vec)
 
 
 def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=None) -> FinAlgebra:
@@ -495,19 +483,11 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
     mons = sorted(mons, key=display_key)
     index = {m: k for k, m in enumerate(mons)}
     d = len(mons)
-
-    def nf_vector(poly):
-        reduced = _normal_form(poly, groebner, order) if groebner else poly
-        vec = [0] * d
-        for mon, c in reduced.terms.items():
-            vec[index[mon]] = c
-        return tuple(vec)
-
     table = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             prod = Polynomial(field, variables, {tuple(a + b for a, b in zip(mons[i], mons[j])): 1})
-            vec = nf_vector(prod)
+            vec = _reduced_vector(prod, groebner, order, index)
             table[i][j] = vec
             table[j][i] = vec
 
@@ -516,7 +496,7 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
     ]
     unit = tuple(1 if k == index[(0,) * len(variables)] else 0 for k in range(d))
     algebra = FinAlgebra(field, labels, table, unit, label=label)
-    algebra._presentation = (variables, groebner, order, mons)
+    algebra._presentation = (variables, groebner, order, index)
 
     non_constant = [algebra.basis_vector(k) for k, m in enumerate(mons) if sum(m)]
     candidate = algebra.ideal_generate(non_constant)

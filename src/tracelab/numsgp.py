@@ -16,6 +16,7 @@ isomorphism.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -43,14 +44,10 @@ class NumericalSemigroup:
     @classmethod
     def from_membership(cls, members, conductor_bound):
         """Build from the set of members below a proven conductor bound."""
-        mset = set(members)
-        c = conductor_bound
-        while c - 1 in mset:
-            c -= 1
-            mset.discard(c)
-        if 0 not in mset and c > 0:
+        listed, c = _tighten(members, conductor_bound)
+        below = frozenset(z for z in listed if z >= 0)
+        if 0 not in below and c > 0:
             raise StructureError("0 must be a member")
-        below = frozenset(z for z in mset if 0 <= z < c)
         gaps = tuple(z for z in range(c) if z not in below)
         frobenius = c - 1 if c > 0 else -1
         multiplicity = next((z for z in range(1, c + 1) if z == c or z in below), 1)
@@ -60,6 +57,11 @@ class NumericalSemigroup:
     @property
     def conductor(self) -> int:
         return self.frobenius + 1
+
+    @property
+    def label(self) -> str:
+        """Report name of the semigroup, e.g. '<3,4>'."""
+        return f"<{','.join(map(str, self.generators))}>"
 
     def contains(self, z: int) -> bool:
         return z >= 0 and (z >= self.conductor or z in self._members)
@@ -77,7 +79,20 @@ class NumericalSemigroup:
         return hash(self.generators)
 
     def __repr__(self):
-        return f"NumericalSemigroup<{','.join(map(str, self.generators))}>"
+        return f"NumericalSemigroup{self.label}"
+
+
+def _tighten(members, conductor_bound):
+    """Canonical form of a membership list valid below a proven conductor bound.
+
+    Returns (sorted members below c, c), where c is the least conductor such
+    that every integer in [c, conductor_bound) is a member.
+    """
+    mset = set(members)
+    c = conductor_bound
+    while c - 1 in mset:
+        c -= 1
+    return tuple(sorted(z for z in mset if z < c)), c
 
 
 def _minimal_generators(members_below, conductor, multiplicity):
@@ -98,6 +113,17 @@ def _minimal_generators(members_below, conductor, multiplicity):
     return tuple(gens)
 
 
+def validate_generators(gens) -> list:
+    """Sorted distinct generators; raises unless they are positive with gcd 1."""
+    gens = sorted(set(gens))
+    if not gens or any(g <= 0 for g in gens):
+        raise NotNumericalSemigroupError("generators must be positive integers")
+    g = gcd(*gens)
+    if g != 1:
+        raise NotNumericalSemigroupError(f"gcd of generators is {g}, not 1")
+    return gens
+
+
 def semigroup_new(gens) -> NumericalSemigroup:
     """Numerical semigroup generated by positive integers with gcd 1.
 
@@ -105,14 +131,7 @@ def semigroup_new(gens) -> NumericalSemigroup:
     at the product of the two smallest generators and is enlarged until a run
     of multiplicity-many consecutive members certifies the conductor.
     """
-    gens = sorted(set(int(g) for g in gens))
-    if not gens or any(g <= 0 for g in gens):
-        raise NotNumericalSemigroupError("generators must be positive integers")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
-    if g != 1:
-        raise NotNumericalSemigroupError(f"gcd of generators is {g}, not 1")
+    gens = validate_generators(int(g) for g in gens)
     if gens[0] == 1:
         return NumericalSemigroup.from_membership({0}, 0)
     a = gens[0]
@@ -165,20 +184,17 @@ class RelativeIdeal:
     @classmethod
     def from_members(cls, sgp, members, conductor_bound):
         """Canonicalize a membership list valid below a proven conductor bound."""
-        mset = set(members)
-        c = conductor_bound
-        while c - 1 in mset:
-            c -= 1
-            mset.discard(c)
-        sporadic = tuple(sorted(z for z in mset if z < c))
-        return cls(sgp, sporadic, c)
+        return cls(sgp, *_tighten(members, conductor_bound))
 
     @property
     def min(self) -> int:
         return self.sporadic[0] if self.sporadic else self.conductor
 
     def contains(self, z: int) -> bool:
-        return z >= self.conductor or z in set(self.sporadic)
+        if z >= self.conductor:
+            return True
+        i = bisect_left(self.sporadic, z)
+        return i < len(self.sporadic) and self.sporadic[i] == z
 
     def members_below(self, bound: int):
         out = [z for z in self.sporadic if z < bound]

@@ -133,17 +133,6 @@ class Polynomial:
         return cls(field, variables, {})
 
     @classmethod
-    def constant(cls, field, variables, c):
-        return cls(field, variables, {(0,) * len(tuple(variables)): c})
-
-    @classmethod
-    def variable(cls, field, variables, name):
-        variables = tuple(variables)
-        idx = variables.index(name)
-        mon = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(field, variables, {mon: 1})
-
-    @classmethod
     def parse(cls, field: PrimeField, variables, text: str) -> "Polynomial":
         """Parse the polynomial text grammar documented at module level."""
         variables = tuple(variables)

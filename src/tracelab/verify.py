@@ -369,8 +369,7 @@ def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) ->
     against the multiplicity-two classification.
     """
     caps = caps or default_caps()
-    label = f"<{','.join(map(str, sgp.generators))}>"
-    report = VerificationReport(ring=label, suite="lp", caps=caps)
+    report = VerificationReport(ring=sgp.label, suite="lp", caps=caps)
     try:
         ideals = enumerate_normalized_ideals(sgp, caps["gaps"])
     except EnumerationCapExceededError as exc:
@@ -571,14 +570,12 @@ def run_identity_suite(target, caps: dict | None = None) -> VerificationReport:
     """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup."""
     caps = caps or default_caps()
     if isinstance(target, FinAlgebra):
-        report = VerificationReport(ring=target.label, suite="identities", caps=caps)
-        report.checks = _artinian_identity_checks(target, caps)
+        checks = _artinian_identity_checks(target, caps)
     elif isinstance(target, NumericalSemigroup):
-        label = f"<{','.join(map(str, target.generators))}>"
-        report = VerificationReport(ring=label, suite="identities", caps=caps)
-        report.checks = _semigroup_identity_checks(target, caps)
+        checks = _semigroup_identity_checks(target, caps)
     else:
         raise TypeError(f"no identity suite for {type(target).__name__}")
+    report = VerificationReport(ring=target.label, suite="identities", checks=checks, caps=caps)
     report.verdict = "all identities hold" if not report.has_failures else "identity violated"
     return report
 
@@ -631,7 +628,8 @@ def build_semigroup_catalog():
     """(label, semigroup, expected_monomial_pass) for the built-in semigroups."""
     out = []
     for gens, expected in SEMIGROUP_CATALOG:
-        out.append((f"<{','.join(map(str, gens))}>", semigroup_new(gens), expected))
+        sgp = semigroup_new(gens)
+        out.append((sgp.label, sgp, expected))
     return out
 
 
@@ -639,6 +637,18 @@ def catalog_product_algebra() -> FinAlgebra:
     left = algebra_from_presentation(2, ("x",), ("x^2",), label="F_2[x]/(x^2)")
     right = algebra_from_presentation(2, (), (), label="F_2")
     return product_algebra(left, right)
+
+
+def _coherence_report(label, lp, caps, carried, matches, witness):
+    """catalog-lp report: the suite's check named `carried`, then whether the
+    verdict matches the catalog's expectation (skipped when undecided)."""
+    report = VerificationReport(ring=label, suite="catalog-lp", caps=caps, verdict=lp.verdict)
+    report.checks.extend(c for c in lp.checks if c.name == carried)
+    if lp.verdict == "undecided":
+        report.checks.append(_skip("verdict-matches-expected", "catalog-classification", "suite undecided"))
+    else:
+        report.checks.append(_check("verdict-matches-expected", matches, "catalog-classification", witness))
+    return report
 
 
 def run_catalog(suite: str = "all", caps: dict | None = None):
@@ -656,56 +666,19 @@ def run_catalog(suite: str = "all", caps: dict | None = None):
     for label, algebra, expected in build_artinian_catalog():
         if suite in ("lp", "all"):
             lp = run_artinian_lp_suite(algebra, caps)
-            equivalence = next(c for c in lp.checks if c.name == "five-way-equivalence")
-            coherent = VerificationReport(ring=label, suite="catalog-lp", caps=caps, verdict=lp.verdict)
-            coherent.checks.append(equivalence)
-            if lp.verdict == "undecided":
-                coherent.checks.append(
-                    _skip("verdict-matches-expected", "catalog-classification", "suite undecided")
-                )
-            else:
-                expected_verdict = "holds" if expected else "fails"
-                gor = next(c for c in lp.checks if c.name == "ring-is-artinian-gorenstein")
-                coherent.checks.append(
-                    _check(
-                        "verdict-matches-expected",
-                        lp.verdict == expected_verdict and (gor.status == "pass") == expected,
-                        "catalog-classification",
-                        {
-                            "expected_gorenstein": expected,
-                            "gorenstein": gor.status == "pass",
-                            "verdict": lp.verdict,
-                        },
-                    )
-                )
-            reports.append(coherent)
+            gor = next(c for c in lp.checks if c.name == "ring-is-artinian-gorenstein").status == "pass"
+            matches = lp.verdict == ("holds" if expected else "fails") and gor == expected
+            witness = {"expected_gorenstein": expected, "gorenstein": gor, "verdict": lp.verdict}
+            reports.append(_coherence_report(label, lp, caps, "five-way-equivalence", matches, witness))
         if suite in ("identities", "all"):
             reports.append(run_identity_suite(algebra, caps))
     for label, sgp, expected in build_semigroup_catalog():
         if suite in ("lp", "all"):
             lp = run_semigroup_lp_suite(sgp, caps)
-            coherent = VerificationReport(ring=label, suite="catalog-lp", caps=caps, verdict=lp.verdict)
-            classification = next(
-                (c for c in lp.checks if c.name == "verdict-matches-multiplicity-classification"),
-                None,
-            )
-            if classification is not None:
-                coherent.checks.append(classification)
             expected_verdict = "monomial ideals pass" if expected else "counterexample found"
-            if lp.verdict == "undecided":
-                coherent.checks.append(
-                    _skip("verdict-matches-expected", "catalog-classification", "suite undecided")
-                )
-            else:
-                coherent.checks.append(
-                    _check(
-                        "verdict-matches-expected",
-                        lp.verdict == expected_verdict,
-                        "catalog-classification",
-                        {"expected": expected_verdict, "verdict": lp.verdict},
-                    )
-                )
-            reports.append(coherent)
+            witness = {"expected": expected_verdict, "verdict": lp.verdict}
+            carried = "verdict-matches-multiplicity-classification"
+            reports.append(_coherence_report(label, lp, caps, carried, lp.verdict == expected_verdict, witness))
         if suite in ("identities", "all"):
             reports.append(run_identity_suite(sgp, caps))
     if suite in ("identities", "all"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,11 @@ def test_parse_semigroup_spec():
         ('{"kind":"dedekind"}', "unknown-kind"),
         ('{"generators":[2,3]}', "bad-schema"),
         ('{"kind":"artinian","vars":[]}', "bad-schema"),
+        ('{"kind":"semigroup","generators":"34"}', "bad-schema"),
+        ('{"kind":"semigroup","generators":[3.9,4]}', "bad-schema"),
+        ('{"kind":"artinian","field":2.7,"vars":[],"relations":[]}', "bad-schema"),
+        ('{"kind":"artinian","field":2,"vars":"xy","relations":[]}', "bad-schema"),
+        ('{"kind":"artinian","field":2,"vars":["x"],"relations":"x^2"}', "bad-schema"),
     ],
 )
 def test_parse_errors_carry_distinct_codes(document, code):
@@ -69,6 +75,8 @@ def test_semigroup_endo_and_iso_ops(capsys):
     assert capsys.readouterr().out == "7\n"
     assert run(["semigroup", "--gens", "3,4", "--op", "iso", "--ideal", "0,5", "--ideal", "3,4"]) == 0
     assert capsys.readouterr().out == "none\n"
+    assert run(["semigroup", "--gens", "3,4", "--op", "iso", "--ideal", "0,5", "--ideal", "0,5"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_semigroup_enumerate_json(capsys):
@@ -118,6 +126,10 @@ def test_catalog_exit_zero_and_deterministic(tmp_path):
     assert run(["catalog", "--suite", "all", "--format", "json", "--out", str(out1)]) == 0
     assert run(["catalog", "--suite", "all", "--format", "json", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert (
+        hashlib.sha256(out1.read_bytes()).hexdigest()
+        == "403fdbd2e8a34d0da9489193336faf84b3912bf359f1c89c5b663344728ef60e"
+    )
     payload = json.loads(out1.read_text())
     assert len(payload["reports"]) == 39
 
@@ -125,6 +137,8 @@ def test_catalog_exit_zero_and_deterministic(tmp_path):
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert run(["semigroup", "--gens", "2,4", "--op", "enumerate"]) == 2
     assert "gcd-not-one" in capsys.readouterr().err
+    assert run(["semigroup", "--gens", "3,x", "--suite", "lp"]) == 2
+    assert "bad-schema" in capsys.readouterr().err
     assert run(["semigroup", "--gens", "2,3"]) == 2  # nothing to do
     capsys.readouterr()
     assert run(["semigroup", "--gens", "2,3", "--op", "colon", "--ideal", "0"]) == 2
