@@ -94,7 +94,7 @@ def parse_ring_spec(document: str) -> RingSpec:
         try:
             PrimeField(p)
         except StructureError as exc:
-            raise SpecError("non-prime-field", f"field characteristic {p} is not prime") from exc
+            raise SpecError("non-prime-field", f"field characteristic {exc}") from exc
         return RingSpec(kind="artinian", p=p, variables=variables, relations=relations)
     if kind == "semigroup":
         gens = _json_list(data, "generators", int)

@@ -502,9 +502,13 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
     candidate = algebra.ideal_generate(non_constant)
     if candidate.dim != d - 1:
         raise NotLocalError("non-constant monomials do not span a proper ideal")
+    # Each non-constant standard monomial is a standard variable times a
+    # standard monomial, so the degree-one ones generate the candidate and
+    # their products with the rows of a power span the next power.
+    degree_one = [k for k, m in enumerate(mons) if sum(m) == 1]
     power = candidate
     while power.dim > 0:
-        nxt = algebra.ideal_product(power, candidate)
+        nxt = IdealSubspace(p, d, [algebra.mul_basis(k, row) for row in power.matrix for k in degree_one])
         if nxt == power:
             raise NotLocalError("maximal ideal candidate is not nilpotent")
         power = nxt

@@ -3,10 +3,13 @@
 A numerical semigroup S is an additively closed subset of the non-negative
 integers with 0 and finite complement; it models the monomial curve ring
 k[[t^S]].  A relative ideal is a set E of integers, bounded below, with
-E + S contained in E; it is stored as a finite sporadic set plus a conductor
-threshold, so set equality is structural equality.  Colon, sum, trace, dual
-and translation tests are exact window computations, and every constructed
-ideal is re-verified against its closure contract.
+E + S contained in E.  Each set is one Python int used as a bitset (bit z set
+when z is a member), negative because every integer from the conductor
+``(~bits).bit_length()`` up is a member; an ideal stores min(E) and the
+bitset of E - min(E), so equal sets have equal fields.  Sums are ORs of
+shifts and colons ANDs of shifts, as in Fromentin and Hivert (Exploring the
+tree of numerical semigroups, Math. Comp. 2016), and every constructed ideal
+is re-verified against its closure contract.
 
 Isomorphism of monomial modules is decided as translation: a module map
 between monomial submodules of the quotient field is multiplication by a
@@ -16,7 +19,6 @@ isomorphism.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,34 +31,62 @@ from .errors import (
 DEFAULT_GAP_CAP = 24
 
 
+def _positions(bits: int, offset: int = 0) -> list:
+    """Sorted offset + z over the set bits z of a non-negative int.
+
+    Reads bin() once: testing the bits one shift at a time is quadratic."""
+    return [offset + z for z, bit in enumerate(reversed(bin(bits))) if bit == "1"]
+
+
+def _lowest(bits: int) -> int:
+    """Position of the lowest set bit of a nonzero int."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _close(members: int, g: int, mask: int) -> int:
+    """members + {0, g, 2g, ...}, cut to the bit mask: doubling shifts."""
+    step = g
+    while step < mask.bit_length():
+        members |= (members << step) & mask
+        step *= 2
+    return members
+
+
 class NumericalSemigroup:
-    """Numerical semigroup with membership table, Frobenius number and gaps."""
+    """Numerical semigroup stored as a membership bitset."""
 
-    __slots__ = ("generators", "multiplicity", "frobenius", "gaps", "_members")
+    __slots__ = ("bits", "generators", "multiplicity")
 
-    def __init__(self, generators, multiplicity, frobenius, gaps, members):
-        self.generators = tuple(generators)
-        self.multiplicity = multiplicity
-        self.frobenius = frobenius
-        self.gaps = tuple(gaps)
-        self._members = frozenset(members)
+    def __init__(self, bits: int):
+        """The semigroup whose members are the set bits of a negative int.
 
-    @classmethod
-    def from_membership(cls, members, conductor_bound):
-        """Build from the set of members below a proven conductor bound."""
-        listed, c = _tighten(members, conductor_bound)
-        below = frozenset(z for z in listed if z >= 0)
-        if 0 not in below and c > 0:
-            raise StructureError("0 must be a member")
-        gaps = tuple(z for z in range(c) if z not in below)
-        frobenius = c - 1 if c > 0 else -1
-        multiplicity = next((z for z in range(1, c + 1) if z == c or z in below), 1)
-        gens = _minimal_generators(below, c, multiplicity)
-        return cls(gens, multiplicity, frobenius, gaps, below)
+        Minimal generators come greedily: the least member the earlier
+        generators miss, which is then closed under.  They are at most
+        conductor + multiplicity (the 1 of <1> is exactly that), so that
+        window decides them."""
+        self.bits = bits
+        self.multiplicity = _lowest(bits >> 1) + 1
+        mask = (1 << (self.conductor + self.multiplicity + 1)) - 1
+        members, closed, gens = bits & mask, 1, []
+        while members & ~closed:
+            g = _lowest(members & ~closed)
+            gens.append(g)
+            closed = _close(closed, g, mask)
+        if closed != members:
+            raise StructureError("not a semigroup: 0 is missing or a sum escapes")
+        self.generators = tuple(gens)
 
     @property
     def conductor(self) -> int:
-        return self.frobenius + 1
+        return (~self.bits).bit_length()
+
+    @property
+    def frobenius(self) -> int:
+        return self.conductor - 1
+
+    @property
+    def gaps(self) -> tuple:
+        return tuple(_positions(~self.bits))
 
     @property
     def label(self) -> str:
@@ -64,13 +94,11 @@ class NumericalSemigroup:
         return f"<{','.join(map(str, self.generators))}>"
 
     def contains(self, z: int) -> bool:
-        return z >= 0 and (z >= self.conductor or z in self._members)
+        return z >= 0 and bool(self.bits >> z & 1)
 
     def members_below(self, bound: int):
         """Sorted members in [0, bound)."""
-        small = [z for z in sorted(self._members) if z < bound]
-        small.extend(range(max(self.conductor, 0), bound))
-        return small
+        return _positions(self.bits & ((1 << max(bound, 0)) - 1))
 
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.generators == other.generators
@@ -80,37 +108,6 @@ class NumericalSemigroup:
 
     def __repr__(self):
         return f"NumericalSemigroup{self.label}"
-
-
-def _tighten(members, conductor_bound):
-    """Canonical form of a membership list valid below a proven conductor bound.
-
-    Returns (sorted members below c, c), where c is the least conductor such
-    that every integer in [c, conductor_bound) is a member.
-    """
-    mset = set(members)
-    c = conductor_bound
-    while c - 1 in mset:
-        c -= 1
-    return tuple(sorted(z for z in mset if z < c)), c
-
-
-def _minimal_generators(members_below, conductor, multiplicity):
-    """Sieve: a nonzero member is a generator iff it is not a sum of two nonzero members."""
-    if conductor <= 0:
-        return (1,)
-    bound = conductor + multiplicity + 1
-    all_members = sorted(set(z for z in members_below if z > 0) | set(range(conductor, bound)))
-    member_set = set(all_members)
-
-    def is_member(z):
-        return z >= conductor or z in member_set
-
-    gens = []
-    for m in all_members:
-        if not any(is_member(m - s) for s in all_members if 0 < s < m):
-            gens.append(m)
-    return tuple(gens)
 
 
 def validate_generators(gens) -> list:
@@ -127,97 +124,78 @@ def validate_generators(gens) -> list:
 def semigroup_new(gens) -> NumericalSemigroup:
     """Numerical semigroup generated by positive integers with gcd 1.
 
-    Membership is computed by dynamic closure on a window; the window starts
-    at the product of the two smallest generators and is enlarged until a run
-    of multiplicity-many consecutive members certifies the conductor.
+    Membership is the closure of {0} under each generator on a window of
+    (a - 1)(b - 1) bits, where a is the least generator and b the first at
+    which the generators so far have gcd 1.  That is Schur's bound on the
+    conductor of <a, ..., b>, which lies in S, so every integer from the
+    window up is a member.
     """
     gens = validate_generators(int(g) for g in gens)
-    if gens[0] == 1:
-        return NumericalSemigroup.from_membership({0}, 0)
-    a = gens[0]
-    bound = gens[0] * gens[1]
-    while True:
-        table = [False] * (bound + 1)
-        table[0] = True
-        for z in range(1, bound + 1):
-            table[z] = any(z >= h and table[z - h] for h in gens)
-        run = next(
-            (z for z in range(bound - a + 2) if all(table[z + i] for i in range(a))),
-            None,
-        )
-        if run is not None:
-            members = {z for z in range(run + a) if table[z]}
-            return NumericalSemigroup.from_membership(members, run + a)
-        bound *= 2
+    b = next(g for k, g in enumerate(gens, 1) if gcd(*gens[:k]) == 1)
+    mask = (1 << ((gens[0] - 1) * (b - 1))) - 1
+    members = 1
+    for g in gens:
+        members = _close(members, g, mask)
+    return NumericalSemigroup(members | ~mask)
 
 
 class RelativeIdeal:
     """Fractional monomial ideal over a numerical semigroup.
 
-    Membership: the listed sporadic elements plus every integer at or above
-    the conductor.  The representation is canonical (tight conductor, sporadic
-    strictly below it), so equality of ideals is equality of fields.
+    Stored as its minimum and the bitset of E - min(E), a canonical form, so
+    equal ideals have equal fields; sporadic and conductor are read off it.
     """
 
-    __slots__ = ("sgp", "sporadic", "conductor")
+    __slots__ = ("sgp", "min", "bits")
 
-    def __init__(self, sgp, sporadic, conductor, _checked=False):
-        self.sgp = sgp
-        self.sporadic = tuple(sorted(sporadic))
-        self.conductor = conductor
-        if not _checked:
-            self._validate()
-
-    def _validate(self):
-        spor = set(self.sporadic)
-        if any(z >= self.conductor for z in spor):
+    def __init__(self, sgp, sporadic, conductor):
+        """Validating constructor from sporadic elements below a tight conductor."""
+        sporadic = sorted(set(sporadic))
+        if sporadic and sporadic[-1] >= conductor:
             raise StructureError("sporadic element at or above the conductor")
-        if self.sporadic and self.conductor - 1 in spor:
+        if sporadic and sporadic[-1] == conductor - 1:
             raise StructureError("conductor is not tight")
-        for e in self.sporadic:
-            for g in self.sgp.generators:
-                if not self.contains(e + g):
-                    raise StructureError(
-                        f"not closed: {e} + {g} = {e + g} escapes the ideal"
-                    )
+        low = sporadic[0] if sporadic else conductor
+        bits = sum(1 << (z - low) for z in sporadic) | -1 << (conductor - low)
+        built = self.from_members(sgp, bits, low)
+        self.sgp, self.min, self.bits = built.sgp, built.min, built.bits
 
     @classmethod
-    def from_members(cls, sgp, members, conductor_bound):
-        """Canonicalize a membership list valid below a proven conductor bound."""
-        return cls(sgp, *_tighten(members, conductor_bound))
+    def from_members(cls, sgp, bits, offset):
+        """The ideal {offset + z : bit z of bits is set}, for a negative bits."""
+        ideal = cls.__new__(cls)
+        low = _lowest(bits)
+        ideal.sgp, ideal.min, ideal.bits = sgp, offset + low, bits >> low
+        for g in sgp.generators:
+            escaped = (ideal.bits << g) & ~ideal.bits
+            if escaped:
+                z = ideal.min + _lowest(escaped)
+                raise StructureError(f"not closed: {z - g} + {g} = {z} escapes the ideal")
+        return ideal
 
     @property
-    def min(self) -> int:
-        return self.sporadic[0] if self.sporadic else self.conductor
+    def conductor(self) -> int:
+        return self.min + (~self.bits).bit_length()
+
+    @property
+    def sporadic(self) -> tuple:
+        return tuple(self.members_below(self.conductor))
 
     def contains(self, z: int) -> bool:
-        if z >= self.conductor:
-            return True
-        i = bisect_left(self.sporadic, z)
-        return i < len(self.sporadic) and self.sporadic[i] == z
+        return z >= self.min and bool(self.bits >> (z - self.min) & 1)
 
     def members_below(self, bound: int):
-        out = [z for z in self.sporadic if z < bound]
-        out.extend(range(self.conductor, bound))
-        return out
+        """Sorted members below bound."""
+        return _positions(self.bits & ((1 << max(bound - self.min, 0)) - 1), self.min)
 
     def shift(self, offset: int) -> "RelativeIdeal":
-        return RelativeIdeal(
-            self.sgp,
-            tuple(z + offset for z in self.sporadic),
-            self.conductor + offset,
-            _checked=True,
-        )
+        return RelativeIdeal.from_members(self.sgp, self.bits, self.min + offset)
 
     def normalized(self) -> "RelativeIdeal":
         return self.shift(-self.min)
 
     def is_subset_of(self, other: "RelativeIdeal") -> bool:
-        if self.conductor < other.conductor:
-            return False
-        return all(
-            other.contains(z) for z in self.members_below(max(self.conductor, other.conductor))
-        )
+        return self.min >= other.min and not (self.bits << (self.min - other.min)) & ~other.bits
 
     def format(self) -> str:
         listed = ",".join(str(z) for z in self.sporadic)
@@ -227,12 +205,12 @@ class RelativeIdeal:
         return (
             isinstance(other, RelativeIdeal)
             and self.sgp == other.sgp
-            and self.sporadic == other.sporadic
-            and self.conductor == other.conductor
+            and self.min == other.min
+            and self.bits == other.bits
         )
 
     def __hash__(self):
-        return hash((self.sgp, self.sporadic, self.conductor))
+        return hash((self.sgp, self.min, self.bits))
 
     def __repr__(self):
         return f"RelativeIdeal({self.format()!r})"
@@ -248,21 +226,19 @@ class TranslationWitness:
         return self.offset is not None
 
 
-def _same_semigroup(*ideals):
-    sgp = ideals[0].sgp
-    for e in ideals[1:]:
-        if e.sgp != sgp:
-            raise StructureError("ideals over different semigroups")
-    return sgp
+def _same_semigroup(left, right):
+    if left.sgp != right.sgp:
+        raise StructureError("ideals over different semigroups")
+    return left.sgp
 
 
 def semigroup_as_ideal(sgp: NumericalSemigroup) -> RelativeIdeal:
-    return RelativeIdeal.from_members(sgp, sgp.members_below(sgp.conductor), sgp.conductor)
+    return RelativeIdeal.from_members(sgp, sgp.bits, 0)
 
 
 def maximal_ideal(sgp: NumericalSemigroup) -> RelativeIdeal:
     """Nonzero elements of the semigroup, as a relative ideal."""
-    return ideal_from_gens(sgp, sgp.generators)
+    return RelativeIdeal.from_members(sgp, sgp.bits ^ 1, 0)
 
 
 def ideal_from_gens(sgp: NumericalSemigroup, offsets) -> RelativeIdeal:
@@ -270,37 +246,38 @@ def ideal_from_gens(sgp: NumericalSemigroup, offsets) -> RelativeIdeal:
     offsets = sorted(set(int(z) for z in offsets))
     if not offsets:
         raise StructureError("at least one offset is required")
-    bound = max(offsets) + sgp.conductor
-    members = {g + s for g in offsets for s in sgp.members_below(max(bound - g, 0))}
-    return RelativeIdeal.from_members(sgp, members, bound)
+    bits = 0
+    for z in offsets:
+        bits |= sgp.bits << (z - offsets[0])
+    return RelativeIdeal.from_members(sgp, bits, offsets[0])
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
-    """{e + f}: the monomial form of the product of two modules."""
+    """{e + f}: the monomial form of the product of two modules.
+
+    Every shift of right from its conductor up covers the whole tail, so only
+    the members of right below its conductor shift left's bitset."""
     sgp = _same_semigroup(left, right)
-    bound = left.conductor + right.conductor
-    members = set()
-    for e in left.members_below(bound - right.min):
-        for f in right.members_below(bound - e):
-            members.add(e + f)
-    return RelativeIdeal.from_members(sgp, members, bound)
+    tail = (~right.bits).bit_length()
+    bits = -1 << tail
+    for f in _positions(right.bits & ((1 << tail) - 1)):
+        bits |= left.bits << f
+    return RelativeIdeal.from_members(sgp, bits, left.min + right.min)
 
 
 def ideal_colon(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """{z : z + right is contained in left}, the colon taken in the quotient field.
 
-    Members lie in [min(left) - min(right), oo); membership of z is automatic
-    once z + min(right) clears the conductor of left, and is otherwise decided
-    by checking the finitely many f in right with z + f below that conductor.
+    Relative to the minima it is {y : y + f in left for every f in right}, and
+    f = 0 forces y >= 0, so it is the AND of left >> f; a member f from the
+    conductor of left up imposes nothing.
     """
     sgp = _same_semigroup(left, right)
-    lo = left.min - right.min
-    bound = left.conductor - right.min
-    members = set()
-    for z in range(lo, bound):
-        if all(left.contains(z + f) for f in right.members_below(left.conductor - z)):
-            members.add(z)
-    return RelativeIdeal.from_members(sgp, members, bound)
+    tail = (~left.bits).bit_length()
+    bits = -1
+    for f in _positions(right.bits & ((1 << tail) - 1)):
+        bits &= left.bits >> f
+    return RelativeIdeal.from_members(sgp, bits, left.min - right.min)
 
 
 def dual(ideal: RelativeIdeal) -> RelativeIdeal:
@@ -318,31 +295,28 @@ def is_reflexive(ideal: RelativeIdeal) -> bool:
 
 
 def is_translate(left: RelativeIdeal, right: RelativeIdeal) -> TranslationWitness:
-    """Witness z with right = left + z, when one exists.
-
-    The only candidate is min(right) - min(left); the canonical representation
-    makes the comparison exact.
-    """
+    """Witness z with right = left + z: min(right) - min(left) if the bitsets agree."""
     _same_semigroup(left, right)
-    offset = right.min - left.min
-    if left.shift(offset) == right:
-        return TranslationWitness(offset)
+    if left.bits == right.bits:
+        return TranslationWitness(right.min - left.min)
     return TranslationWitness(None)
 
 
 def endo_semigroup(ideal: RelativeIdeal) -> NumericalSemigroup:
-    """E - E for a normalized ideal, returned as a numerical semigroup."""
+    """E - E for a normalized ideal, returned as a numerical semigroup.
+
+    It contains 0, and it lies in E because 0 is in E, so its minimum is 0."""
     if ideal.min != 0:
         raise StructureError("endomorphism semigroup needs a normalized ideal (min 0)")
-    colon = ideal_colon(ideal, ideal)
-    members = [z for z in colon.members_below(max(colon.conductor, 1)) if z >= 0]
-    return NumericalSemigroup.from_membership(set(members) | {0}, max(colon.conductor, 0))
+    return NumericalSemigroup(ideal_colon(ideal, ideal).bits)
 
 
 def canonical_ideal(sgp: NumericalSemigroup) -> RelativeIdeal:
-    """K = {z : F - z is not in S}; S is symmetric iff K is a translate of S."""
-    members = {z for z in range(0, sgp.conductor) if not sgp.contains(sgp.frobenius - z)}
-    return RelativeIdeal.from_members(sgp, members, max(sgp.conductor, 0))
+    """K = {z : F - z is not in S}; S is symmetric iff K is a translate of S.
+
+    Below the conductor, K is the gap bitset read backwards from F."""
+    reflected = int(bin(~sgp.bits)[:1:-1], 2)
+    return RelativeIdeal.from_members(sgp, reflected | -1 << sgp.conductor, 0)
 
 
 def is_symmetric(sgp: NumericalSemigroup) -> bool:
@@ -350,42 +324,29 @@ def is_symmetric(sgp: NumericalSemigroup) -> bool:
 
 
 def enumerate_normalized_ideals(sgp: NumericalSemigroup, cap: int = DEFAULT_GAP_CAP):
-    """All relative ideals with min 0, in a fixed enumeration order.
+    """All relative ideals with min 0, in ascending order of their bitsets.
 
-    Such an ideal is S together with a set G of gaps satisfying the closure
-    rule: g in G, s in S, g+s a gap  =>  g+s in G.  Subsets of the gap set are
-    filtered by that rule, in ascending bitmask order over the sorted gaps.
+    Such an ideal is S with a set of gaps closed under adding the generators.
+    Deciding the gaps from the largest down, a gap may join exactly when
+    gap + g is already a member for every generator g, and leaving it out is
+    always allowed, so every branch ends in an ideal.  Ascending bitset order
+    is the ascending gap-mask order over the sorted gaps.
     """
-    gaps = sgp.gaps
-    n = len(gaps)
+    n = (~sgp.bits).bit_count()  # the genus, counted before any gap is listed
     if n > cap:
         raise EnumerationCapExceededError(f"{n} gaps exceed the enumeration cap {cap}")
-    gap_index = {g: i for i, g in enumerate(gaps)}
-    succ = []
-    for g in gaps:
-        mask = 0
-        for s in sgp.generators:
-            t = g + s
-            if t in gap_index:
-                mask |= 1 << gap_index[t]
-        succ.append(mask)
-    base_members = set(sgp.members_below(sgp.conductor))
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        m = mask
-        while m:
-            low = (m & -m).bit_length() - 1
-            if succ[low] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if not ok:
+    gaps = sgp.gaps[::-1]
+    needs = [sum(1 << (h + g) for g in sgp.generators) for h in gaps]
+    found, stack = [], [(0, sgp.bits)]
+    while stack:
+        i, bits = stack.pop()
+        if i == n:
+            found.append(bits)
             continue
-        members = set(base_members)
-        members.update(gaps[i] for i in range(n) if mask >> i & 1)
-        out.append(RelativeIdeal.from_members(sgp, members, sgp.conductor))
-    return out
+        stack.append((i + 1, bits))
+        if bits & needs[i] == needs[i]:
+            stack.append((i + 1, bits | 1 << gaps[i]))
+    return [RelativeIdeal.from_members(sgp, bits, 0) for bits in sorted(found)]
 
 
 def parse_ideal_text(sgp: NumericalSemigroup, text: str) -> RelativeIdeal:
@@ -409,8 +370,7 @@ def colength(sgp: NumericalSemigroup, ideal: RelativeIdeal) -> int:
         raise StructureError("ideal over a different semigroup")
     if not ideal.is_subset_of(semigroup_as_ideal(sgp)):
         raise StructureError("colength needs an ideal contained in the semigroup")
-    bound = max(sgp.conductor, ideal.conductor)
-    return sum(1 for s in sgp.members_below(bound) if not ideal.contains(s))
+    return (sgp.bits & ~(ideal.bits << ideal.min)).bit_count()
 
 
 def filtration_length(sgp: NumericalSemigroup, n: int) -> int:

@@ -27,13 +27,41 @@ from .errors import (
 Monomial = tuple  # exponent vectors, one non-negative int per variable
 
 
+# Miller-Rabin on the first twelve prime bases is exact below psi_12, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+
+def _is_prime(p: int) -> bool:
+    """Trial division by the bases, then Miller-Rabin on them; exact below PRIME_LIMIT."""
+    if p < 2 or any(p % q == 0 for q in PRIME_BASES if q < p):
+        return False
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in PRIME_BASES:
+        if a >= p:
+            break
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Arithmetic modulo a prime p.  Elements are plain ints in [0, p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise StructureError(f"{p} is not below {PRIME_LIMIT}, where the primality test stops being exact")
+        if not _is_prime(p):
             raise StructureError(f"{p} is not prime")
         self.p = p
 

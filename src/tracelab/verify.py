@@ -576,7 +576,10 @@ def run_identity_suite(target, caps: dict | None = None) -> VerificationReport:
     else:
         raise TypeError(f"no identity suite for {type(target).__name__}")
     report = VerificationReport(ring=target.label, suite="identities", checks=checks, caps=caps)
-    report.verdict = "all identities hold" if not report.has_failures else "identity violated"
+    if report.has_failures:
+        report.verdict = "identity violated"
+    else:
+        report.verdict = "undecided" if report.summary["skipped"] else "all identities hold"
     return report
 
 

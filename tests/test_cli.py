@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ def test_parse_semigroup_spec():
         ('{"kind":"artinian","field":2.7,"vars":[],"relations":[]}', "bad-schema"),
         ('{"kind":"artinian","field":2,"vars":"xy","relations":[]}', "bad-schema"),
         ('{"kind":"artinian","field":2,"vars":["x"],"relations":"x^2"}', "bad-schema"),
+        ('{"kind":"artinian","field":318665857834031151167461,"vars":[],"relations":[]}', "non-prime-field"),
     ],
 )
 def test_parse_errors_carry_distinct_codes(document, code):
@@ -148,6 +150,32 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert run(["nonsense"]) == 2
     assert run(["semigroup", "--gens", "2,3", "--op", "trace", "--ideal", "0", "--suite", "lp"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "document,engine_error",
+    [
+        ('{"kind":"artinian","field":2,"vars":["x","x"],"relations":["x^2"]}', "StructureError"),
+        ('{"kind":"artinian","field":2,"vars":["x"],"relations":["x^^2"]}', "PolynomialSyntaxError"),
+        ('{"kind":"artinian","field":2,"vars":["x"],"relations":[]}', "NotZeroDimensionalError"),
+        ('{"kind":"artinian","field":2,"vars":["x"],"relations":["x^2+x"]}', "NotLocalError"),
+    ],
+)
+def test_ring_construction_errors_carry_the_engine_class(capsys, document, engine_error):
+    assert run(["artinian", "--spec", document, "--suite", "lp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[{engine_error}]: ")
+
+
+def test_semigroup_beyond_the_gap_cap_is_undecided_quickly(capsys):
+    start = time.monotonic()
+    assert run(["semigroup", "--gens", "1000,1001", "--suite", "all", "--format", "json"]) == 0
+    assert time.monotonic() - start < 5.0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["verdict"] for r in reports] == ["undecided", "undecided"]
+    assert all(c["status"] == "skipped" for r in reports for c in r["checks"])
+    assert "499500 gaps exceed the enumeration cap 24" in reports[0]["checks"][0]["witness"]["reason"]
 
 
 def test_caps_env_is_honored(capsys, monkeypatch):

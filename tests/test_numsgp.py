@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tracelab.errors import (
@@ -32,6 +34,7 @@ S345 = semigroup_new((3, 4, 5))
 N = semigroup_new((1,))
 CATALOG = [N, S23, semigroup_new((2, 5)), semigroup_new((2, 7)), semigroup_new((2, 9)),
            S34, semigroup_new((3, 5)), semigroup_new((4, 5)), S345]
+WIDER = [semigroup_new(g) for g in ((4, 6, 7), (5, 6, 7, 8), (3, 7, 8), (4, 5, 7))]
 
 
 # --- construction ---------------------------------------------------------------
@@ -62,6 +65,14 @@ def test_wider_generator_windows():
     assert s.frobenius == 29
     assert s.multiplicity == 6
     assert s.generators == (6, 10, 15)
+
+
+def test_large_semigroup_is_built_quickly():
+    start = time.monotonic()
+    s = semigroup_new((1000, 1001))
+    assert s.frobenius == 998999
+    assert len(s.gaps) == 499500 and s.generators == (1000, 1001)
+    assert time.monotonic() - start < 5.0
 
 
 def test_membership_contract():
@@ -144,10 +155,12 @@ def test_ideal_colon_examples():
 
 
 def test_sum_and_colon_match_brute_force():
-    for sgp in CATALOG:
+    for sgp in CATALOG + WIDER:
         ideals = enumerate_normalized_ideals(sgp)
         ideals.append(maximal_ideal(sgp))
         ideals.append(ideal_from_gens(sgp, (-3, 2)))
+        ideals.append(ideal_from_gens(sgp, (-7, -5)))
+        ideals.append(canonical_ideal(sgp).shift(-4))
         for left in ideals:
             for right in ideals:
                 total = ideal_sum(left, right)
@@ -266,6 +279,43 @@ def test_enumerate_normalized_ideals_examples():
         "| 0",
     ]
     assert [e.format() for e in enumerate_normalized_ideals(N)] == ["| 0"]
+
+
+def _oracle_normalized_ideals(sgp):
+    """Members below the conductor of every normalized ideal: all 2^n subsets
+    of the gaps, filtered by the closure rule, in ascending bitmask order."""
+    gaps = sgp.gaps
+    n = len(gaps)
+    gap_index = {g: i for i, g in enumerate(gaps)}
+    succ = []
+    for g in gaps:
+        mask = 0
+        for s in sgp.generators:
+            if g + s in gap_index:
+                mask |= 1 << gap_index[g + s]
+        succ.append(mask)
+    base = set(sgp.members_below(sgp.conductor))
+    out = []
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        if all(not succ[i] & ~mask for i in chosen):
+            out.append(sorted(base | {gaps[i] for i in chosen}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(1,), (2, 3), (2, 5), (2, 11), (2, 15), (3, 4), (3, 5), (3, 7), (3, 8), (3, 11), (4, 5),
+     (4, 7), (4, 9), (5, 7), (5, 8), (3, 4, 5), (4, 6, 7), (5, 7, 9), (3, 10, 11), (7, 8, 9, 10),
+     (6, 7, 8, 9, 10, 11)],
+    ids=lambda gens: ",".join(map(str, gens)),
+)
+def test_enumerate_matches_the_gap_mask_oracle(gens):
+    sgp = semigroup_new(gens)
+    assert len(sgp.gaps) <= 14
+    found = enumerate_normalized_ideals(sgp)
+    assert all(e.min == 0 and e.conductor <= sgp.conductor for e in found)
+    assert [e.members_below(sgp.conductor) for e in found] == _oracle_normalized_ideals(sgp)
 
 
 def test_enumerate_cap():

@@ -1,4 +1,6 @@
 import itertools
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from tracelab.polyfp import (
     LEX,
     MonomialOrder,
     Polynomial,
+    PRIME_LIMIT,
     PrimeField,
     buchberger,
     is_groebner,
@@ -38,6 +41,40 @@ def test_prime_field_rejects_composites():
         with pytest.raises(StructureError):
             PrimeField(bad)
     assert PrimeField(7).inv(3) == 5  # 3*5 = 15 = 1 mod 7
+
+
+def _accepted(p):
+    try:
+        PrimeField(p)
+    except StructureError:
+        return False
+    return True
+
+
+def test_prime_field_agrees_with_trial_division():
+    accepted = [p for p in range(-3, 10**5) if _accepted(p)]
+    assert accepted == [p for p in range(2, 10**5) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def test_prime_field_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the bases 2..7, 2..11, 2..13, 2..17 and 2..23
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not _accepted(n), n
+
+
+def test_prime_field_refuses_the_limit_of_exactness():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every base
+    assert PRIME_LIMIT == 399165290221 * 798330580441
+    for n in (PRIME_LIMIT, PRIME_LIMIT + 2, 2**89 - 1):
+        with pytest.raises(StructureError, match=str(PRIME_LIMIT)):
+            PrimeField(n)
+
+
+def test_prime_field_accepts_large_primes_fast():
+    start = time.monotonic()
+    assert PrimeField(1000000000000000003).p == 10**18 + 3
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.monotonic() - start < 1.0
 
 
 def test_monomial_helpers():

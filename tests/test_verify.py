@@ -75,6 +75,14 @@ def test_identity_suite_hom_budget_skips(fat_point):
         "hom-dimension-isomorphism-invariance",
     }
     assert not report.has_failures
+    assert report.verdict == "undecided"
+
+
+def test_identity_suite_gap_cap_is_undecided():
+    report = run_identity_suite(semigroup_new((3, 4)), {"dim": None, "gaps": 1, "hom": 22})
+    assert [c.status for c in report.checks] == ["skipped"]
+    assert report.verdict == "undecided"
+    assert run_identity_suite(semigroup_new((3, 4))).verdict == "all identities hold"
 
 
 # --- semigroup lp suite -----------------------------------------------------------
