@@ -255,8 +255,11 @@ def _caps_from_args(args) -> dict:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError("bad-schema", f"cannot write report file {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

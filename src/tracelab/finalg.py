@@ -91,13 +91,7 @@ class HomBasis:
 
     def image_vector(self, matrix, row_index, p):
         """Image of the row_index-th basis row of the domain, as an algebra vector."""
-        out = [0] * self.codomain.ncols
-        for b, w in enumerate(self.codomain.matrix):
-            c = matrix[row_index][b]
-            if c:
-                for k, x in enumerate(w):
-                    out[k] = (out[k] + c * x) % p
-        return tuple(out)
+        return linalg.combine(matrix[row_index], self.codomain.matrix, p)
 
 
 class FinAlgebra:
@@ -164,28 +158,11 @@ class FinAlgebra:
         return (0,) * self.dim
 
     def mul(self, u, v):
-        p, d = self.field.p, self.dim
-        out = [0] * d
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                row = self.table[i][j]
-                for k in range(d):
-                    out[k] += c * row[k]
-        return tuple(x % p for x in out)
+        return linalg.combine(u, [self.mul_basis(i, v) for i in range(self.dim)], self.field.p)
 
     def mul_basis(self, i, v):
         """e_i * v, read from row i of the table (the regular representation of e_i)."""
-        out = [0] * self.dim
-        for vj, row in zip(v, self.table[i]):
-            if vj:
-                for k, x in enumerate(row):
-                    out[k] += vj * x
-        return tuple(x % self.field.p for x in out)
+        return linalg.combine(v, self.table[i], self.field.p)
 
     def all_elements(self):
         """Every element of the algebra, in lexicographic coordinate order."""
@@ -236,6 +213,25 @@ class FinAlgebra:
 
     def principal_ideal(self, x) -> IdealSubspace:
         return self.ideal_generate([x])
+
+    def least_generator(self, ideal: IdealSubspace):
+        """Least element, in the all_elements order, that generates the ideal;
+        None when the ideal is not principal.
+
+        On a local algebra the coordinate of an element of the ideal at the
+        pivot of rref row r is its r-th rref coefficient, and those before it
+        depend only on the earlier coefficients, so the coordinate order on the
+        ideal is the lexicographic order on the coefficients.  The least element
+        outside m*ideal is then the last row outside it, and by Nakayama the
+        elements outside m*ideal are exactly the generators.  An ideal of a
+        product is generated blockwise.
+        """
+        if not self.is_local:
+            parts = [f.least_generator(i) for f, i in zip(self.local_factors(), self.factor_ideals(ideal))]
+            return None if None in parts else tuple(itertools.chain.from_iterable(parts))
+        if ideal.dim == 0:
+            return self.zero_vector()
+        return next((row for row in reversed(ideal.matrix) if self.principal_ideal(row) == ideal), None)
 
     def is_ideal(self, sub: IdealSubspace) -> bool:
         for i in range(self.dim):
@@ -336,18 +332,11 @@ class FinAlgebra:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
             )
-        s = left.dim
+        rows_by_index = [[m[a] for m in hom.maps] for a in range(left.dim)]
         for coeffs in itertools.product(range(p), repeat=h):
             if not any(coeffs):
                 continue
-            combo = [[0] * s for _ in range(s)]
-            for c, mat in zip(coeffs, hom.maps):
-                if not c:
-                    continue
-                for a in range(s):
-                    row = mat[a]
-                    for b in range(s):
-                        combo[a][b] = (combo[a][b] + c * row[b]) % p
+            combo = [linalg.combine(coeffs, rows, p) for rows in rows_by_index]
             if linalg.is_invertible(combo, p):
                 return True
         return False

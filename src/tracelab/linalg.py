@@ -48,6 +48,16 @@ def reduce_vector(matrix, pivots, vec, p):
     return tuple(x % p for x in res)
 
 
+def combine(coeffs, rows, p):
+    """Sum of c * row over paired coefficients and rows, mod p.  rows is non-empty."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for k, x in enumerate(row):
+                out[k] += c * x
+    return tuple(x % p for x in out)
+
+
 def in_rowspace(matrix, pivots, vec, p):
     return not any(reduce_vector(matrix, pivots, vec, p))
 

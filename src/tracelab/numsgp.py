@@ -29,6 +29,7 @@ from .errors import (
 )
 
 DEFAULT_GAP_CAP = 24
+MAX_WINDOW_BITS = 1 << 24  # largest membership window semigroup_new allocates
 
 
 def _positions(bits: int, offset: int = 0) -> list:
@@ -128,11 +129,18 @@ def semigroup_new(gens) -> NumericalSemigroup:
     (a - 1)(b - 1) bits, where a is the least generator and b the first at
     which the generators so far have gcd 1.  That is Schur's bound on the
     conductor of <a, ..., b>, which lies in S, so every integer from the
-    window up is a member.
+    window up is a member.  A window above MAX_WINDOW_BITS is refused before
+    it is allocated.
     """
     gens = validate_generators(int(g) for g in gens)
     b = next(g for k, g in enumerate(gens, 1) if gcd(*gens[:k]) == 1)
-    mask = (1 << ((gens[0] - 1) * (b - 1))) - 1
+    window = (gens[0] - 1) * (b - 1)
+    if window > MAX_WINDOW_BITS:
+        raise StructureError(
+            f"membership window ({gens[0]} - 1)({b} - 1) = {window} bits"
+            f" exceeds the limit of {MAX_WINDOW_BITS} bits"
+        )
+    mask = (1 << window) - 1
     members = 1
     for g in gens:
         members = _close(members, g, mask)

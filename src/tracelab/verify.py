@@ -10,7 +10,6 @@ passes.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -118,16 +117,11 @@ _ARTINIAN_CONDITIONS = (
 )
 
 
-def _principal_ideals(algebra):
-    """Distinct principal ideals paired with a generating element, in a fixed order."""
-    seen = []
-    keys = set()
-    for v in algebra.all_elements():
-        ideal = algebra.principal_ideal(v)
-        if ideal.matrix not in keys:
-            keys.add(ideal.matrix)
-            seen.append((v, ideal))
-    return seen
+def _principal_traces(algebra, traces):
+    """(least generator, ideal, trace) for the principal ideals among the
+    (ideal, trace) pairs, in the order of their least generators."""
+    triples = [(algebra.least_generator(ideal), ideal, tr) for ideal, tr in traces]
+    return sorted((t for t in triples if t[0] is not None), key=lambda t: t[0])
 
 
 def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> VerificationReport:
@@ -149,8 +143,7 @@ def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> Veri
         return report
 
     traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
-    principal = _principal_ideals(algebra)
-    principal_traces = [(v, ideal, algebra.trace_ideal(ideal)) for v, ideal in principal]
+    principal_traces = _principal_traces(algebra, traces)
 
     gor = algebra.is_gorenstein()
     gor_witness = None
@@ -248,9 +241,10 @@ def _artinian_identity_checks(algebra, caps):
         )
     )
 
+    # Both sides depend only on the ideal (v), so the first element of the
+    # all_elements order that fails is the least generator of its ideal.
     mismatch = None
-    for v in algebra.all_elements():
-        via_hom = algebra.trace_ideal(algebra.principal_ideal(v))
+    for v, _, via_hom in _principal_traces(algebra, traces):
         via_ann = algebra.trace_principal_via_ann(v)
         if via_hom != via_ann:
             mismatch = {
@@ -289,14 +283,14 @@ def _artinian_identity_checks(algebra, caps):
 
     try:
         classes = _isomorphism_classes(algebra, ideals, caps["hom"])
+        trace_of = dict(traces)
         trace_bad = None
         hom_bad = None
         for cls in classes:
             if len(cls) < 2:
                 continue
-            base_trace = algebra.trace_ideal(cls[0])
             for other in cls[1:]:
-                if algebra.trace_ideal(other) != base_trace:
+                if trace_of[other] != trace_of[cls[0]]:
                     trace_bad = {
                         "ideal": algebra.format_ideal(cls[0]),
                         "isomorphic_ideal": algebra.format_ideal(other),
@@ -333,16 +327,11 @@ def _artinian_identity_checks(algebra, caps):
         )
 
     if algebra.factors is not None:
-        factor_ideals = [f.enumerate_ideals(caps["dim"]) for f in algebra.local_factors()]
         bad = None
-        for combo in itertools.product(*factor_ideals):
-            embedded = algebra.product_ideal(combo)
-            lhs = algebra.trace_ideal(embedded)
-            rhs = algebra.product_ideal(
-                [f.trace_ideal(i) for f, i in zip(algebra.local_factors(), combo)]
-            )
-            if lhs != rhs:
-                bad = {"ideal": algebra.format_ideal(embedded)}
+        for ideal, tr in traces:
+            parts = zip(algebra.local_factors(), algebra.factor_ideals(ideal))
+            if tr != algebra.product_ideal([f.trace_ideal(i) for f, i in parts]):
+                bad = {"ideal": algebra.format_ideal(ideal)}
                 break
         checks.append(
             _check(

@@ -178,6 +178,33 @@ def test_semigroup_beyond_the_gap_cap_is_undecided_quickly(capsys):
     assert "499500 gaps exceed the enumeration cap 24" in reports[0]["checks"][0]["witness"]["reason"]
 
 
+def test_oversized_semigroup_window_exits_two_quickly(capsys):
+    start = time.monotonic()
+    assert run(["semigroup", "--gens", "100000,100001", "--suite", "all"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[StructureError]: ")
+    assert "16777216" in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, target):
+    out = tmp_path / "no" / "x.json" if target == "missing-directory" else tmp_path
+    assert run(["semigroup", "--gens", "3,4", "--suite", "lp", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-schema]: ")
+
+
+def test_artinian_suites_over_a_large_prime_are_quick(capsys):
+    spec = '{"kind":"artinian","field":101,"vars":["t"],"relations":["t^2"]}'
+    start = time.monotonic()
+    assert run(["artinian", "--spec", spec, "--suite", "all"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert "summary: pass=" in capsys.readouterr().out
+
+
 def test_caps_env_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("TRACE_LAB_CAPS", "gaps=1")
     code = run(["semigroup", "--gens", "3,4", "--suite", "lp"])

@@ -201,6 +201,17 @@ def test_principal_trace_oracle_examples(fat_point):
     assert B.trace_principal_via_ann(B.element("0")) == B.zero_ideal()
 
 
+def test_least_generator(chain_algebra, fat_point):
+    A = chain_algebra
+    assert A.least_generator(A.zero_ideal()) == A.zero_vector()
+    assert A.least_generator(A.maximal_ideal) == A.element("x")
+    assert A.least_generator(A.unit_ideal()) == A.element("1")
+    assert fat_point.least_generator(fat_point.maximal_ideal) is None
+    uncertified = FinAlgebra(PrimeField(2), ["1"], [[(1,)]], (1,))
+    with pytest.raises(StructureError):
+        uncertified.least_generator(uncertified.unit_ideal())
+
+
 def test_trace_agrees_with_double_annihilator_on_all_elements(
     chain_algebra, fat_point, square_corner
 ):

@@ -75,6 +75,12 @@ def test_large_semigroup_is_built_quickly():
     assert time.monotonic() - start < 5.0
 
 
+def test_semigroup_window_limit():
+    assert semigroup_new((4096, 4097)).frobenius == 4096 * 4097 - 4096 - 4097
+    with pytest.raises(StructureError, match="16777216"):
+        semigroup_new((5793, 5794))
+
+
 def test_membership_contract():
     assert S34.contains(0) and S34.contains(3) and S34.contains(100)
     assert not S34.contains(5) and not S34.contains(-1)

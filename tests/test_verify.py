@@ -1,6 +1,7 @@
 import json
+import random
 
-from tracelab.finalg import algebra_from_presentation
+from tracelab.finalg import algebra_from_presentation, product_algebra
 from tracelab.numsgp import (
     is_translate,
     parse_ideal_text,
@@ -10,6 +11,7 @@ from tracelab.numsgp import (
 from tracelab.verify import (
     CheckResult,
     VerificationReport,
+    _principal_traces,
     build_artinian_catalog,
     build_semigroup_catalog,
     catalog_product_algebra,
@@ -148,6 +150,72 @@ def test_identity_suite_product_includes_factorization():
     report = run_identity_suite(catalog_product_algebra())
     assert not report.has_failures
     assert any(c.name == "product-trace-factorization" for c in report.checks)
+
+
+# --- principal ideals against the element sweep ------------------------------------
+
+def _oracle_principal_ideals(algebra):
+    """Distinct principal ideals, each with the first element of the
+    all_elements sweep that generates it, in sweep order."""
+    seen, keys = [], set()
+    for v in algebra.all_elements():
+        ideal = algebra.principal_ideal(v)
+        if ideal.matrix not in keys:
+            keys.add(ideal.matrix)
+            seen.append((v, ideal))
+    return seen
+
+
+def _suite_principal_ideals(algebra):
+    """The (generator, ideal) list the artinian suites walk; traces are not needed here."""
+    traces = [(ideal, None) for ideal in algebra.enumerate_ideals()]
+    return [(g, ideal) for g, ideal, _ in _principal_traces(algebra, traces)]
+
+
+def _monomial(rng, variables):
+    """A monomial of degree 1 or 2, so that binomials survive the pure powers."""
+    while True:
+        exps = [rng.randrange(3) for _ in variables]
+        if 0 < sum(exps) <= 2:
+            return "*".join(f"{v}^{k}" for v, k in zip(variables, exps) if k)
+
+
+def _binomial_algebras(seed, count):
+    """Distinct local algebras F_p[vars]/(pure powers, one or two binomials),
+    small enough for the element sweep."""
+    rng = random.Random(seed)
+    max_dim = {2: 5, 3: 4, 5: 3, 7: 3}
+    out, labels = [], set()
+    while len(out) < count:
+        p = rng.choice(tuple(max_dim))
+        variables = ("x", "y", "z") if p == 2 and rng.random() < 0.3 else ("x", "y")
+        relations = [f"{v}^{rng.randrange(2, 4)}" for v in variables]
+        for _ in range(rng.randrange(1, 3)):
+            relations.append(f"{_monomial(rng, variables)} + {rng.randrange(1, p)}*{_monomial(rng, variables)}")
+        algebra = algebra_from_presentation(p, variables, relations)
+        if algebra.dim <= max_dim[p] and algebra.label not in labels:
+            labels.add(algebra.label)
+            out.append(algebra)
+    return out
+
+
+def test_principal_ideals_match_the_element_sweep_on_the_catalog():
+    algebras = [algebra for _, algebra, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    for algebra in algebras:
+        assert _suite_principal_ideals(algebra) == _oracle_principal_ideals(algebra), algebra.label
+
+
+def test_principal_ideals_match_the_element_sweep_on_binomial_algebras():
+    algebras = _binomial_algebras(seed=5, count=110)
+    assert {a.field.p for a in algebras} == {2, 3, 5, 7}
+    products = [
+        product_algebra(a, b)
+        for a, b in zip(algebras, algebras[1:])
+        if a.field.p == b.field.p and a.field.p ** (a.dim + b.dim) <= 1024
+    ]
+    assert len(products) >= 10
+    for algebra in algebras + products:
+        assert _suite_principal_ideals(algebra) == _oracle_principal_ideals(algebra), algebra.label
 
 
 # --- reports and emission -------------------------------------------------------------
