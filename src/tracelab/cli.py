@@ -250,6 +250,9 @@ def _caps_from_args(args) -> dict:
         caps["gaps"] = args.cap_gaps
     if args.cap_hom is not None:
         caps["hom"] = args.cap_hom
+    negative = [f"{key}={value}" for key, value in caps.items() if value is not None and value < 0]
+    if negative:
+        raise SpecError("bad-caps", f"caps must not be negative: {', '.join(negative)}")
     return caps
 
 
@@ -296,18 +299,18 @@ def run(argv=None) -> int:
         if args.command == "catalog":
             reports = run_catalog(args.suite or "all", caps)
         else:
+            if args.op and args.suite:
+                raise SpecError("bad-schema", "choose either --op or --suite, not both")
+            if not (args.op or args.suite):
+                raise SpecError("bad-schema", "nothing to do: pass --op or --suite")
             spec = _spec_from_args(args)
             if spec.kind == "artinian":
                 ring = algebra_from_presentation(spec.p, spec.variables, spec.relations)
             else:
                 ring = semigroup_new(spec.generators)
-            if args.op and args.suite:
-                raise SpecError("bad-schema", "choose either --op or --suite, not both")
             if args.op:
                 _emit(_run_op(spec.kind, ring, args, caps), args.out)
                 return 0
-            if not args.suite:
-                raise SpecError("bad-schema", "nothing to do: pass --op or --suite")
             reports = _run_suites(spec.kind, ring, args.suite, caps)
         _emit(emit_reports(reports, args.fmt), args.out)
         return 1 if reports_have_failures(reports) else 0

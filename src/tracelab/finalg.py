@@ -102,6 +102,10 @@ class FinAlgebra:
     span of the non-constant basis monomials) is certified by
     algebra_from_presentation; products of local algebras carry their factor
     list instead of a maximal ideal.
+
+    generators holds one action matrix per algebra generator (row m is g*e_m);
+    together with 1 they must generate the algebra, so a map that commutes
+    with them is algebra-linear.  The default is every table row (the basis).
     """
 
     __slots__ = (
@@ -113,10 +117,11 @@ class FinAlgebra:
         "label",
         "maximal_ideal",
         "factors",
+        "generators",
         "_presentation",
     )
 
-    def __init__(self, field, basis_labels, table, unit, label=None, factors=None):
+    def __init__(self, field, basis_labels, table, unit, label=None, factors=None, generators=None):
         self.field = field
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
@@ -128,6 +133,9 @@ class FinAlgebra:
         self.label = label or f"F_{p}^{d}-algebra"
         self.maximal_ideal = None
         self.factors = tuple(factors) if factors else None
+        self.generators = self.table if generators is None else tuple(
+            tuple(tuple(x % p for x in row) for row in g) for g in generators
+        )
         self._presentation = None
         self._validate()
 
@@ -140,11 +148,11 @@ class FinAlgebra:
         for i in range(d):
             if self.mul_basis(i, self.unit) != self.basis_vector(i):
                 raise StructureError("unit does not act as the identity")
+        # The table is symmetric, so (i, j, k) and (k, j, i) are one equation and i == k is trivial.
         for i in range(d):
-            for j in range(d):
-                ij = self.table[i][j]
-                for k in range(d):
-                    left = self.mul_basis(k, ij)
+            for k in range(i + 1, d):
+                for j in range(d):
+                    left = self.mul_basis(k, self.table[i][j])
                     right = self.mul_basis(i, self.table[j][k])
                     if left != right:
                         raise StructureError("multiplication table is not associative")
@@ -270,17 +278,17 @@ class FinAlgebra:
         """Basis of the module of algebra-linear maps domain -> codomain.
 
         A map is determined by the images of the basis rows of the domain; the
-        linearity constraints f(r*v) = r*f(v) for every basis element r cut out
-        a linear subspace of the (dim I)x(dim J) coordinate matrices.
+        linearity constraints f(r*v) = r*f(v) for every algebra generator r cut
+        out a linear subspace of the (dim I)x(dim J) coordinate matrices.
         """
         p = self.field.p
         s, t = domain.dim, codomain.dim
         if s == 0 or t == 0:
             return HomBasis(domain, codomain, ())
         constraints = []
-        for i in range(self.dim):
-            lam = [domain.coordinates(self.mul_basis(i, v)) for v in domain.matrix]
-            mu = [codomain.coordinates(self.mul_basis(i, w)) for w in codomain.matrix]
+        for g in self.generators:
+            lam = [domain.coordinates(linalg.combine(v, g, p)) for v in domain.matrix]
+            mu = [codomain.coordinates(linalg.combine(w, g, p)) for w in codomain.matrix]
             for a in range(s):
                 for bp in range(t):
                     row = [0] * (s * t)
@@ -328,7 +336,7 @@ class FinAlgebra:
         if h == 0:
             return False
         p = self.field.p
-        if p**h > 2**hom_cap_exponent:
+        if (p**h - 1).bit_length() > hom_cap_exponent:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
             )
@@ -484,25 +492,35 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
         Polynomial(field, variables, {m: 1}).to_text(order) if sum(m) else "1" for m in mons
     ]
     unit = tuple(1 if k == index[(0,) * len(variables)] else 0 for k in range(d))
-    algebra = FinAlgebra(field, labels, table, unit, label=label)
+    # Each non-constant standard monomial is a standard variable times a
+    # standard monomial, so the degree-one ones generate the algebra.
+    degree_one = [table[k] for k, m in enumerate(mons) if sum(m) == 1]
+    algebra = FinAlgebra(field, labels, table, unit, label=label, generators=degree_one)
     algebra._presentation = (variables, groebner, order, index)
 
     non_constant = [algebra.basis_vector(k) for k, m in enumerate(mons) if sum(m)]
     candidate = algebra.ideal_generate(non_constant)
     if candidate.dim != d - 1:
         raise NotLocalError("non-constant monomials do not span a proper ideal")
-    # Each non-constant standard monomial is a standard variable times a
-    # standard monomial, so the degree-one ones generate the candidate and
-    # their products with the rows of a power span the next power.
-    degree_one = [k for k, m in enumerate(mons) if sum(m) == 1]
+    # The generators also generate the candidate, so their products with the
+    # rows of a power span the next power.
     power = candidate
     while power.dim > 0:
-        nxt = IdealSubspace(p, d, [algebra.mul_basis(k, row) for row in power.matrix for k in degree_one])
+        nxt = IdealSubspace(p, d, [linalg.combine(row, g, p) for row in power.matrix for g in algebra.generators])
         if nxt == power:
             raise NotLocalError("maximal ideal candidate is not nilpotent")
         power = nxt
     algebra.maximal_ideal = candidate
     return algebra
+
+
+def _in_block(matrix, off, d):
+    """A factor's square matrix placed in the diagonal block of a d x d matrix at offset off."""
+    zero = (0,) * d
+    rows = [zero] * d
+    for m, row in enumerate(matrix):
+        rows[off + m] = zero[:off] + tuple(row) + zero[off + len(row) :]
+    return rows
 
 
 def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
@@ -518,17 +536,15 @@ def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
     labels = []
     for k, f in enumerate(factors):
         labels.extend(f"{lab}@{k}" for lab in f.basis_labels)
-    zero = (0,) * d
-    table = [[zero] * d for _ in range(d)]
+    table = []
     unit = [0] * d
+    generators = []
     off = 0
     for f in factors:
-        for i in range(f.dim):
-            for j in range(f.dim):
-                vec = [0] * d
-                for k, x in enumerate(f.table[i][j]):
-                    vec[off + k] = x
-                table[off + i][off + j] = tuple(vec)
+        table.extend(_in_block(row, off, d) for row in f.table)
+        # each factor's generators, and its idempotent, whose action is the identity block
+        identity = [f.basis_vector(m) for m in range(f.dim)]
+        generators.extend(_in_block(g, off, d) for g in (*f.generators, identity))
         for k, x in enumerate(f.unit):
             unit[off + k] = x
         off += f.dim
@@ -539,4 +555,5 @@ def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
         unit,
         label=f"{left.label} x {right.label}",
         factors=factors,
+        generators=generators,
     )

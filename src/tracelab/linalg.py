@@ -49,7 +49,17 @@ def reduce_vector(matrix, pivots, vec, p):
 
 
 def combine(coeffs, rows, p):
-    """Sum of c * row over paired coefficients and rows, mod p.  rows is non-empty."""
+    """Sum of c * row over paired coefficients and rows, mod p.
+
+    coeffs is a tuple or list as long as rows.  rows is non-empty and its rows
+    are tuples reduced mod p, as everywhere in this module: a single nonzero
+    coefficient 1 returns its row itself.
+    """
+    nonzero = len(coeffs) - coeffs.count(0)
+    if not nonzero:
+        return (0,) * len(rows[0])
+    if nonzero == 1 and 1 in coeffs:
+        return rows[coeffs.index(1)]
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:

@@ -205,6 +205,40 @@ def test_artinian_suites_over_a_large_prime_are_quick(capsys):
     assert "summary: pass=" in capsys.readouterr().out
 
 
+def test_iso_with_a_huge_hom_cap_is_quick(capsys):
+    document = '{"kind":"artinian","field":2,"vars":["x","y"],"relations":["x^2","y^2"]}'
+    start = time.monotonic()
+    argv = ["artinian", "--spec", document, "--op", "iso", "--ideal-gens", "x", "--ideal-gens", "y"]
+    assert run(argv + ["--cap-hom", "1000000000"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out == "false\n"
+
+
+@pytest.mark.parametrize(
+    "flags,env",
+    [(["--cap-dim", "-1"], ""), (["--cap-hom", "-3"], ""), ([], "gaps=-1"), (["--cap-gaps", "-1"], "gaps=24")],
+)
+def test_negative_caps_exit_two(capsys, monkeypatch, flags, env):
+    monkeypatch.setenv("TRACE_LAB_CAPS", env)
+    assert run(["semigroup", "--gens", "3,4", "--suite", "lp"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-caps]: ")
+
+
+def test_zero_caps_are_valid(capsys):
+    assert run(["semigroup", "--gens", "3,4", "--suite", "lp", "--cap-dim", "0", "--cap-hom", "0"]) == 1
+    capsys.readouterr()
+
+
+def test_usage_errors_come_before_the_ring_is_built(capsys):
+    not_local = '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^2+x"]}'
+    assert run(["artinian", "--spec", not_local, "--op", "enumerate", "--suite", "lp"]) == 2
+    assert capsys.readouterr().err.startswith("error[bad-schema]: ")
+    assert run(["artinian", "--spec", not_local]) == 2
+    assert capsys.readouterr().err.startswith("error[bad-schema]: nothing to do")
+
+
 def test_caps_env_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("TRACE_LAB_CAPS", "gaps=1")
     code = run(["semigroup", "--gens", "3,4", "--suite", "lp"])

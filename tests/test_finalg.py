@@ -9,8 +9,10 @@ from tracelab.errors import (
     SearchBudgetExceededError,
     StructureError,
 )
+from tracelab import linalg
 from tracelab.finalg import FinAlgebra, algebra_from_presentation, product_algebra
 from tracelab.polyfp import PrimeField
+from tracelab.verify import build_artinian_catalog, catalog_product_algebra
 
 
 # --- construction -------------------------------------------------------------
@@ -69,6 +71,15 @@ def test_bad_multiplication_tables_rejected():
             ("1", "e"),
             (((1, 0), (0, 0)), ((0, 0), (0, 1))),
             (1, 0),
+        )
+    # commutative and unital, but (a*a)*b = b*b = a while a*(a*b) = 0
+    one, a, b, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    with pytest.raises(StructureError, match="associative"):
+        FinAlgebra(
+            f2,
+            ("1", "a", "b"),
+            ((one, a, b), (a, b, zero), (b, zero, a)),
+            one,
         )
 
 
@@ -182,6 +193,72 @@ def test_hom_maps_are_linear(chain_algebra, fat_point, square_corner):
                             assert lhs == algebra.mul(e_i, images[a])
 
 
+def _oracle_hom_module(algebra, domain, codomain):
+    """Hom(domain, codomain) from the constraints f(e_i*v) = e_i*f(v) for every
+    basis element e_i, as the maps of a HomBasis."""
+    p = algebra.field.p
+    s, t = domain.dim, codomain.dim
+    if s == 0 or t == 0:
+        return ()
+    constraints = []
+    for i in range(algebra.dim):
+        lam = [domain.coordinates(algebra.mul_basis(i, v)) for v in domain.matrix]
+        mu = [codomain.coordinates(algebra.mul_basis(i, w)) for w in codomain.matrix]
+        for a in range(s):
+            for bp in range(t):
+                row = [0] * (s * t)
+                for c in range(s):
+                    row[c * t + bp] = (row[c * t + bp] + lam[a][c]) % p
+                for b in range(t):
+                    row[a * t + b] = (row[a * t + b] - mu[b][bp]) % p
+                constraints.append(tuple(row))
+    kernel = linalg.right_kernel(constraints, s * t, p)
+    return tuple(tuple(tuple(vec[a * t + b] for b in range(t)) for a in range(s)) for vec in kernel)
+
+
+def _assert_hom_matches_oracle(algebra):
+    ideals = algebra.enumerate_ideals()
+    for domain in ideals:
+        for codomain in ideals:
+            expected = _oracle_hom_module(algebra, domain, codomain)
+            assert algebra.hom_module(domain, codomain).maps == expected, algebra.label
+
+
+def test_hom_from_generators_matches_the_basis_oracle_on_the_catalog():
+    for _, algebra, _ in build_artinian_catalog():
+        _assert_hom_matches_oracle(algebra)
+    _assert_hom_matches_oracle(catalog_product_algebra())
+
+
+def test_hom_from_generators_matches_the_basis_oracle_on_binomial_algebras(binomial_algebras):
+    algebras = binomial_algebras(seed=11, count=30)
+    assert {a.field.p for a in algebras} == {2, 3, 5, 7}
+    products = [
+        product_algebra(a, b)
+        for a, b in zip(algebras, algebras[1:])
+        if a.field.p == b.field.p and a.field.p ** (a.dim + b.dim) <= 256
+    ]
+    assert len(products) >= 3
+    for algebra in algebras + products:
+        _assert_hom_matches_oracle(algebra)
+
+
+def test_generators_of_presentations_and_products():
+    chain = algebra_from_presentation(2, ("x",), ("x^3",))
+    assert chain.generators == (chain.table[1],)
+    field = algebra_from_presentation(2, (), ())
+    assert field.generators == ()
+    prod = product_algebra(chain, field)
+    # x in the first block, then one idempotent per factor
+    assert [[prod.format_element(row) for row in g] for g in prod.generators] == [
+        ["x@0", "x^2@0", "0", "0"],
+        ["1@0", "x@0", "x^2@0", "0"],
+        ["0", "0", "0", "1@1"],
+    ]
+    bare = FinAlgebra(PrimeField(2), ["1"], [[(1,)]], (1,))
+    assert bare.generators == bare.table
+
+
 # --- traces -----------------------------------------------------------------------
 
 def test_trace_examples(chain_algebra, fat_point):
@@ -269,6 +346,24 @@ def test_isomorphism_budget(fat_point):
     y_ideal = B.ideal_generate([B.element("y")])
     with pytest.raises(SearchBudgetExceededError):
         B.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=0)
+
+
+def test_isomorphism_budget_boundary():
+    # over F_2, Hom((x), (y)) has 2^1 maps: a budget of 2^1 searches it
+    B = algebra_from_presentation(2, ("x", "y"), ("x^2", "x*y", "y^2"))
+    x_ideal = B.ideal_generate([B.element("x")])
+    y_ideal = B.ideal_generate([B.element("y")])
+    assert B.hom_module(x_ideal, y_ideal).dim == 1
+    assert B.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=1)
+    with pytest.raises(SearchBudgetExceededError, match="2\\^1 elements, beyond the 2\\^0 budget"):
+        B.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=0)
+    # over F_3 it has 3 = 2^1 + 1 maps
+    C = algebra_from_presentation(3, ("x", "y"), ("x^2", "x*y", "y^2"))
+    x_ideal = C.ideal_generate([C.element("x")])
+    y_ideal = C.ideal_generate([C.element("y")])
+    assert C.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=2)
+    with pytest.raises(SearchBudgetExceededError, match="3\\^1 elements, beyond the 2\\^1 budget"):
+        C.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=1)
 
 
 # --- Gorenstein test and enumeration ----------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tracelab import linalg
 
@@ -59,3 +61,29 @@ def test_rank_and_invertibility():
     assert linalg.is_invertible(((0, 1), (1, 0)), 2)
     assert not linalg.is_invertible(((1, 1), (1, 1)), 2)
     assert linalg.is_invertible((), 5)
+
+
+@st.composite
+def _combination(draw):
+    """(coeffs, rows, p): rows reduced mod p; coeffs random, or zero but for
+    one coefficient c (the zero vector at c = 0, a single unit at c = 1)."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * width), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    coeffs = draw(
+        st.integers(0, p - 1).map(lambda c: tuple(c if i == k else 0 for i in range(n)))
+        | st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    )
+    return coeffs, rows, p
+
+
+@given(_combination())
+@example(((0, 0), [(1, 2), (2, 1)], 3))
+@example(((0, 1), [(1, 2), (2, 1)], 3))
+@example(((0, 2), [(1, 2), (2, 1)], 3))
+def test_combine_matches_the_naive_sum(case):
+    coeffs, rows, p = case
+    naive = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(len(rows[0])))
+    assert linalg.combine(coeffs, rows, p) == naive

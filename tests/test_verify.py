@@ -1,5 +1,4 @@
 import json
-import random
 
 from tracelab.finalg import algebra_from_presentation, product_algebra
 from tracelab.numsgp import (
@@ -172,41 +171,14 @@ def _suite_principal_ideals(algebra):
     return [(g, ideal) for g, ideal, _ in _principal_traces(algebra, traces)]
 
 
-def _monomial(rng, variables):
-    """A monomial of degree 1 or 2, so that binomials survive the pure powers."""
-    while True:
-        exps = [rng.randrange(3) for _ in variables]
-        if 0 < sum(exps) <= 2:
-            return "*".join(f"{v}^{k}" for v, k in zip(variables, exps) if k)
-
-
-def _binomial_algebras(seed, count):
-    """Distinct local algebras F_p[vars]/(pure powers, one or two binomials),
-    small enough for the element sweep."""
-    rng = random.Random(seed)
-    max_dim = {2: 5, 3: 4, 5: 3, 7: 3}
-    out, labels = [], set()
-    while len(out) < count:
-        p = rng.choice(tuple(max_dim))
-        variables = ("x", "y", "z") if p == 2 and rng.random() < 0.3 else ("x", "y")
-        relations = [f"{v}^{rng.randrange(2, 4)}" for v in variables]
-        for _ in range(rng.randrange(1, 3)):
-            relations.append(f"{_monomial(rng, variables)} + {rng.randrange(1, p)}*{_monomial(rng, variables)}")
-        algebra = algebra_from_presentation(p, variables, relations)
-        if algebra.dim <= max_dim[p] and algebra.label not in labels:
-            labels.add(algebra.label)
-            out.append(algebra)
-    return out
-
-
 def test_principal_ideals_match_the_element_sweep_on_the_catalog():
     algebras = [algebra for _, algebra, _ in build_artinian_catalog()] + [catalog_product_algebra()]
     for algebra in algebras:
         assert _suite_principal_ideals(algebra) == _oracle_principal_ideals(algebra), algebra.label
 
 
-def test_principal_ideals_match_the_element_sweep_on_binomial_algebras():
-    algebras = _binomial_algebras(seed=5, count=110)
+def test_principal_ideals_match_the_element_sweep_on_binomial_algebras(binomial_algebras):
+    algebras = binomial_algebras(seed=5, count=110)
     assert {a.field.p for a in algebras} == {2, 3, 5, 7}
     products = [
         product_algebra(a, b)
