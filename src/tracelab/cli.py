@@ -9,6 +9,7 @@ emitted), 2 on usage or ring-spec errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,7 +175,9 @@ _OPS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="trace-lab",
         description="Exact trace-ideal calculus and verification suites for "

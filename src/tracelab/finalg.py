@@ -20,15 +20,7 @@ from .errors import (
     SearchBudgetExceededError,
     StructureError,
 )
-from .polyfp import (
-    DEGREVLEX,
-    Polynomial,
-    PrimeField,
-    buchberger,
-    display_key,
-    normal_form,
-    standard_monomials,
-)
+from .polyfp import Polynomial, PrimeField, buchberger, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
 
@@ -89,23 +81,19 @@ class HomBasis:
     def dim(self) -> int:
         return len(self.maps)
 
-    def image_vector(self, matrix, row_index, p):
-        """Image of the row_index-th basis row of the domain, as an algebra vector."""
-        return linalg.combine(matrix[row_index], self.codomain.matrix, p)
-
 
 class FinAlgebra:
     """Finite-dimensional commutative F_p-algebra with a fixed basis.
 
-    The constructor checks commutativity, associativity on all basis triples,
-    and that the given unit acts as the identity.  Locality (nilpotence of the
-    span of the non-constant basis monomials) is certified by
-    algebra_from_presentation; products of local algebras carry their factor
-    list instead of a maximal ideal.
-
     generators holds one action matrix per algebra generator (row m is g*e_m);
-    together with 1 they must generate the algebra, so a map that commutes
-    with them is algebra-linear.  The default is every table row (the basis).
+    the default is every table row (the basis).  The list is the algebra's
+    certificate: the constructor checks commutativity and the unit, then that
+    the generators applied to 1 span the algebra, then associativity through
+    the generators (see _validate).  Every Hom space relies on generation: a
+    map that commutes with the generators is algebra-linear.  Locality (a
+    nilpotent generator list) is certified by algebra_from_presentation;
+    products of local algebras carry their factor list instead of a maximal
+    ideal.
     """
 
     __slots__ = (
@@ -140,7 +128,20 @@ class FinAlgebra:
         self._validate()
 
     def _validate(self):
-        d = self.dim
+        """Check the table and the generator certificate.
+
+        After commutativity and the unit, the generators applied repeatedly
+        to 1 must span the algebra, and every generator g must satisfy
+        (g*e_m)*e_j == g*(e_m*e_j) for all m, j.  Given the first three, the
+        last is equivalent to associativity.  By linearity g(xy) = g(x)y for
+        all x, y, so with x = 1 the map g is multiplication by u = g(1), and
+        u(xy) = (ux)y.  The elements a with a(xy) = (ax)y for all x, y form a
+        subspace that holds 1 and is closed under each such u, since
+        (ua)(xy) = u(a(xy)) = u((ax)y) = (u(ax))y = ((ua)x)y.  By generation
+        it is the whole algebra.  A bare table keeps every row as a
+        generator, so it gets the check on all basis triples.
+        """
+        d, p = self.dim, self.field.p
         for i in range(d):
             for j in range(i, d):
                 if self.table[i][j] != self.table[j][i]:
@@ -148,13 +149,16 @@ class FinAlgebra:
         for i in range(d):
             if self.mul_basis(i, self.unit) != self.basis_vector(i):
                 raise StructureError("unit does not act as the identity")
-        # The table is symmetric, so (i, j, k) and (k, j, i) are one equation and i == k is trivial.
-        for i in range(d):
-            for k in range(i + 1, d):
+        span = linalg.rref([self.unit], p)[0]
+        while len(span) < d:
+            grown = linalg.rref(span + tuple(linalg.combine(v, g, p) for v in span for g in self.generators), p)[0]
+            if len(grown) == len(span):
+                raise StructureError("generators do not generate the algebra")
+            span = grown
+        for g in self.generators:
+            for m in range(d):
                 for j in range(d):
-                    left = self.mul_basis(k, self.table[i][j])
-                    right = self.mul_basis(i, self.table[j][k])
-                    if left != right:
+                    if self.mul_basis(j, g[m]) != linalg.combine(self.table[m][j], g, p):
                         raise StructureError("multiplication table is not associative")
 
     # -- elements ----------------------------------------------------------
@@ -180,8 +184,8 @@ class FinAlgebra:
         """Coordinate vector of a polynomial expression in the presentation variables."""
         if self._presentation is None:
             raise StructureError("algebra has no polynomial presentation")
-        variables, groebner, order, index = self._presentation
-        return _reduced_vector(Polynomial.parse(self.field, variables, text), groebner, order, index)
+        variables, groebner, index = self._presentation
+        return _reduced_vector(Polynomial.parse(self.field, variables, text), groebner, index)
 
     def format_element(self, vec) -> str:
         parts = []
@@ -303,14 +307,10 @@ class FinAlgebra:
 
     def trace_ideal(self, ideal: IdealSubspace) -> IdealSubspace:
         """Ideal generated by all values f(v), f ranging over Hom(ideal, R)."""
+        # The codomain R has the identity as its rref basis, so row a of a map
+        # already is the image of row a of the ideal.
         hom = self.hom_module(ideal, self.unit_ideal())
-        p = self.field.p
-        rows = [
-            hom.image_vector(m, a, p)
-            for m in hom.maps
-            for a in range(ideal.dim)
-        ]
-        return IdealSubspace(p, self.dim, rows)
+        return IdealSubspace(self.field.p, self.dim, [row for m in hom.maps for row in m])
 
     def trace_principal_via_ann(self, x) -> IdealSubspace:
         """Double annihilator ann(ann((x))); independent oracle for principal traces."""
@@ -434,10 +434,10 @@ class FinAlgebra:
         return tuple(out)
 
 
-def _reduced_vector(poly, groebner, order, index):
+def _reduced_vector(poly, groebner, index):
     """Coordinates of the normal form of poly in the standard-monomial basis."""
     if groebner:
-        poly = normal_form(poly, groebner, order)
+        poly = normal_form(poly, groebner)
     vec = [0] * len(index)
     for mon, c in poly.terms.items():
         if mon not in index:
@@ -446,15 +446,16 @@ def _reduced_vector(poly, groebner, order, index):
     return tuple(vec)
 
 
-def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=None) -> FinAlgebra:
+def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra:
     """Quotient of F_p[variables] by the relations, certified local.
 
-    The basis is the set of standard monomials of a Groebner basis of the
-    relations; the multiplication table stores the normal forms of basis
-    products.  Raises NotZeroDimensionalError when the quotient is infinite
-    dimensional and NotLocalError when the span of the non-constant standard
-    monomials is not a nilpotent ideal (the quotient is then not local with
-    residue field F_p).
+    The basis is the set of degrevlex standard monomials of a Groebner basis
+    of the relations; the multiplication table stores the normal forms of
+    basis products.  Raises NotZeroDimensionalError when the quotient is
+    infinite dimensional and NotLocalError when a degree-one standard
+    monomial is not nilpotent.  Those monomials generate the algebra, so they
+    are nilpotent exactly when the span of the non-constant standard
+    monomials is a proper nilpotent ideal, which is then the maximal ideal.
     """
     field = PrimeField(p)
     variables = tuple(variables)
@@ -464,9 +465,9 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
         r if isinstance(r, Polynomial) else Polynomial.parse(field, variables, r)
         for r in relations
     ]
-    groebner = buchberger(polys, order) if polys else []
+    groebner = buchberger(polys) if polys else []
     if label is None:
-        rel_text = ", ".join(q.to_text(order) for q in polys)
+        rel_text = ", ".join(q.to_text() for q in polys)
         ring = f"F_{p}" + (f"[{','.join(variables)}]" if variables else "")
         label = f"{ring}/({rel_text})" if rel_text else ring
     if not groebner:
@@ -474,43 +475,34 @@ def algebra_from_presentation(p, variables, relations, order=DEGREVLEX, label=No
             raise NotZeroDimensionalError("no relations: the quotient is a polynomial ring")
         mons = [()]
     else:
-        mons = standard_monomials(groebner, order)
+        mons = standard_monomials(groebner)
         if not mons:
             raise NotLocalError("relations generate the unit ideal: the quotient is the zero ring")
-    mons = sorted(mons, key=display_key)
     index = {m: k for k, m in enumerate(mons)}
     d = len(mons)
     table = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             prod = Polynomial(field, variables, {tuple(a + b for a, b in zip(mons[i], mons[j])): 1})
-            vec = _reduced_vector(prod, groebner, order, index)
+            vec = _reduced_vector(prod, groebner, index)
             table[i][j] = vec
             table[j][i] = vec
 
-    labels = [
-        Polynomial(field, variables, {m: 1}).to_text(order) if sum(m) else "1" for m in mons
-    ]
+    labels = [Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons]
     unit = tuple(1 if k == index[(0,) * len(variables)] else 0 for k in range(d))
     # Each non-constant standard monomial is a standard variable times a
     # standard monomial, so the degree-one ones generate the algebra.
     degree_one = [table[k] for k, m in enumerate(mons) if sum(m) == 1]
     algebra = FinAlgebra(field, labels, table, unit, label=label, generators=degree_one)
-    algebra._presentation = (variables, groebner, order, index)
+    algebra._presentation = (variables, groebner, index)
 
-    non_constant = [algebra.basis_vector(k) for k, m in enumerate(mons) if sum(m)]
-    candidate = algebra.ideal_generate(non_constant)
-    if candidate.dim != d - 1:
-        raise NotLocalError("non-constant monomials do not span a proper ideal")
-    # The generators also generate the candidate, so their products with the
-    # rows of a power span the next power.
-    power = candidate
-    while power.dim > 0:
-        nxt = IdealSubspace(p, d, [linalg.combine(row, g, p) for row in power.matrix for g in algebra.generators])
-        if nxt == power:
-            raise NotLocalError("maximal ideal candidate is not nilpotent")
-        power = nxt
-    algebra.maximal_ideal = candidate
+    for g in algebra.generators:
+        power = algebra.unit
+        for _ in range(d):
+            power = linalg.combine(power, g, p)
+        if any(power):
+            raise NotLocalError("a variable is not nilpotent: the non-constant monomials span no nilpotent ideal")
+    algebra.maximal_ideal = IdealSubspace(p, d, [algebra.basis_vector(k) for k, m in enumerate(mons) if sum(m)])
     return algebra
 
 

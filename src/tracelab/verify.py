@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import numsgp
 from .errors import EnumerationCapExceededError, SearchBudgetExceededError
-from .finalg import FinAlgebra, algebra_from_presentation, product_algebra
+from .finalg import DEFAULT_HOM_CAP_EXPONENT, FinAlgebra, algebra_from_presentation, product_algebra
 from .numsgp import (
     NumericalSemigroup,
     canonical_ideal,
@@ -40,7 +40,7 @@ def default_caps() -> dict:
     """Caps used by the suites: subspace-enumeration dimension (None = the
     per-field default), gap-set size, and the exponent of the 2^h budget for
     isomorphism searches."""
-    return {"dim": None, "gaps": numsgp.DEFAULT_GAP_CAP, "hom": 22}
+    return {"dim": None, "gaps": numsgp.DEFAULT_GAP_CAP, "hom": DEFAULT_HOM_CAP_EXPONENT}
 
 
 @dataclass

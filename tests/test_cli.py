@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tracelab.cli import RingSpec, parse_ring_spec, run
+from tracelab.cli import RingSpec, build_parser, parse_ring_spec, run
 from tracelab.errors import SpecError
 
 
@@ -105,6 +105,22 @@ def test_artinian_inline_spec(capsys):
     document = '{"kind":"artinian","field":2,"vars":["x","y"],"relations":["x^2","y^2"]}'
     assert run(["artinian", "--spec", document, "--op", "iso", "--ideal-gens", "x", "--ideal-gens", "y"]) == 0
     assert capsys.readouterr().out == "false\n"
+
+
+def test_runs_share_one_parser_but_not_their_ideal_lists(capsys):
+    assert build_parser() is build_parser()
+    square = '{"kind":"artinian","field":2,"vars":["x","y"],"relations":["x^2","y^2"]}'
+    chain = '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^3"]}'
+    for argv, out in (
+        (["semigroup", "--gens", "3,4", "--op", "colon", "--ideal", "0,5", "--ideal", "0,5"], "0 | 3\n"),
+        (["semigroup", "--gens", "3,4", "--op", "trace", "--ideal", "0,5"], "3,4 | 6\n"),
+        (["semigroup", "--gens", "2,3", "--op", "enumerate"], "0 | 2\n| 0\n"),
+        (["artinian", "--spec", square, "--op", "iso", "--ideal-gens", "x", "--ideal-gens", "y"], "false\n"),
+        (["artinian", "--spec", square, "--op", "trace", "--ideal-gens", "x*y"], "x*y\n"),
+        (["artinian", "--spec", chain, "--op", "enumerate"], "0\nx^2\nx, x^2\n1, x, x^2\n"),
+    ):
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == out
 
 
 # --- suites and exit codes --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from tracelab.errors import (
 )
 from tracelab import linalg
 from tracelab.finalg import FinAlgebra, algebra_from_presentation, product_algebra
-from tracelab.polyfp import PrimeField
+from tracelab.polyfp import Polynomial, PrimeField, buchberger, normal_form, standard_monomials
 from tracelab.verify import build_artinian_catalog, catalog_product_algebra
 
 
@@ -54,7 +55,7 @@ def test_presentation_rejects_non_local():
         algebra_from_presentation(2, ("x",), ("1",))
 
 
-def test_bad_multiplication_tables_rejected():
+def test_bad_multiplication_tables_rejected(fat_point):
     f2 = PrimeField(2)
     # non-commutative table
     with pytest.raises(StructureError):
@@ -81,6 +82,128 @@ def test_bad_multiplication_tables_rejected():
             ((one, a, b), (a, b, zero), (b, zero, a)),
             one,
         )
+    # x alone does not generate F_2[x,y]/(x^2, x*y, y^2): y is missing
+    B = fat_point
+    with pytest.raises(StructureError, match="generate"):
+        FinAlgebra(B.field, B.basis_labels, B.table, B.unit, generators=[B.table[1]])
+
+
+def _oracle_associative(table, p):
+    """The all-triples check: (e_i*e_j)*e_k == e_i*(e_j*e_k) for every j and i < k
+    (the table is symmetric, so (i, j, k) and (k, j, i) are one equation)."""
+    d = len(table)
+    for i in range(d):
+        for k in range(i + 1, d):
+            for j in range(d):
+                if linalg.combine(table[i][j], table[k], p) != linalg.combine(table[j][k], table[i], p):
+                    return False
+    return True
+
+
+def _generates(matrix, unit, p):
+    """Brute force: 1 and its images under the action, closed under sums, reach every vector."""
+    reached = {unit}
+    while True:
+        images = {tuple(sum(v[m] * matrix[m][c] for m in range(len(v))) % p for c in range(len(v))) for v in reached}
+        sums = {tuple((x + y) % p for x, y in zip(u, v)) for u in reached for v in reached}
+        if images | sums <= reached:
+            return len(reached) == p ** len(unit)
+        reached |= images | sums
+
+
+def test_certificate_matches_the_triple_oracle_on_every_f2_table():
+    # commutative F_2 tables of dim 3 with unit e_0; e_1^2, e_1*e_2 and e_2^2 are free
+    f2 = PrimeField(2)
+    one, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    vectors = list(itertools.product(range(2), repeat=3))
+    associative = 0
+    for e11, e12, e22 in itertools.product(vectors, repeat=3):
+        table = ((one, e1, e2), (e1, e11, e12), (e2, e12, e22))
+        expected = _oracle_associative(table, 2)
+        associative += expected
+        for generators in (None, *([row] for row in table)):
+            wanted = expected and (generators is None or _generates(generators[0], one, 2))
+            try:
+                FinAlgebra(f2, ("1", "a", "b"), table, one, generators=generators)
+                accepted = True
+            except StructureError:
+                accepted = False
+            assert accepted == wanted, (table, generators)
+    assert associative == 64
+
+
+def _presented_algebra(p, variables, relations):
+    """F_p[variables]/(relations) on its standard monomials, with the degree-one
+    generators and no locality check; None for the zero ring."""
+    field = PrimeField(p)
+    groebner = buchberger([Polynomial.parse(field, variables, r) for r in relations])
+    mons = standard_monomials(groebner)
+    if not mons:
+        return None
+
+    def vector(m):
+        terms = normal_form(Polynomial(field, variables, {m: 1}), groebner).terms
+        return tuple(terms.get(b, 0) for b in mons)
+
+    table = [[vector(tuple(a + b for a, b in zip(u, v))) for v in mons] for u in mons]
+    generators = [table[k] for k, m in enumerate(mons) if sum(m) == 1]
+    return FinAlgebra(field, [str(m) for m in mons], table, vector((0,) * len(variables)), generators=generators)
+
+
+def _oracle_maximal_ideal(algebra):
+    """The candidate-ideal check: the ideal generated by the non-unit basis
+    vectors must have codimension 1 and be nilpotent."""
+    d = algebra.dim
+    non_unit = [algebra.basis_vector(k) for k in range(d) if algebra.basis_vector(k) != algebra.unit]
+    candidate = algebra.ideal_generate(non_unit)
+    if candidate.dim != d - 1:
+        raise NotLocalError("non-constant monomials do not span a proper ideal")
+    power = candidate
+    while power.dim > 0:
+        nxt = algebra.ideal_product(power, candidate)
+        if nxt == power:
+            raise NotLocalError("maximal ideal candidate is not nilpotent")
+        power = nxt
+    return candidate
+
+
+def _seeded_presentation(rng):
+    """Per variable a relation led by its pure power, whose lower terms may be
+    1, x or y, and sometimes x*y plus a lower term: x^2 + 1, x^2 + 2*x + 1, ..."""
+    p = rng.choice((2, 3, 5))
+    variables = rng.choice((("x",), ("x", "y")))
+    lower = ["1", *variables]
+    relations = []
+    for v in variables:
+        tail = [f"{rng.randrange(1, p)}*{t}" for t in rng.sample(lower, rng.randrange(3))]
+        relations.append(" + ".join([f"{v}^{rng.randrange(2, 4)}", *tail]))
+    if len(variables) == 2 and rng.random() < 0.5:
+        relations.append(f"x*y + {rng.randrange(1, p)}*{rng.choice(lower)}")
+    return p, variables, relations
+
+
+def test_locality_from_nilpotent_generators_matches_the_candidate_ideal_oracle(binomial_algebras):
+    for algebra in [a for _, a, _ in build_artinian_catalog()] + binomial_algebras(seed=11, count=30):
+        assert _oracle_maximal_ideal(algebra) == algebra.maximal_ideal, algebra.label
+    rng = random.Random(1807)
+    local = non_local = 0
+    for _ in range(300):
+        p, variables, relations = _seeded_presentation(rng)
+        unchecked = _presented_algebra(p, variables, relations)
+        try:
+            expected = None if unchecked is None else _oracle_maximal_ideal(unchecked)
+        except NotLocalError:
+            expected = None
+        if expected is None:
+            non_local += 1
+            with pytest.raises(NotLocalError):
+                algebra_from_presentation(p, variables, relations)
+        else:
+            algebra = algebra_from_presentation(p, variables, relations)
+            assert algebra.table == unchecked.table
+            assert algebra.maximal_ideal == expected, (p, relations)
+            local += 1
+    assert min(local, non_local) >= 50
 
 
 # --- ideal generation and arithmetic -------------------------------------------
@@ -176,7 +299,7 @@ def test_hom_maps_are_linear(chain_algebra, fat_point, square_corner):
                 hom = algebra.hom_module(domain, codomain)
                 for matrix in hom.maps:
                     images = [
-                        hom.image_vector(matrix, a, algebra.field.p)
+                        linalg.combine(matrix[a], hom.codomain.matrix, algebra.field.p)
                         for a in range(domain.dim)
                     ]
                     for i in range(algebra.dim):
