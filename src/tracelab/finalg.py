@@ -89,11 +89,10 @@ class FinAlgebra:
     the default is every table row (the basis).  The list is the algebra's
     certificate: the constructor checks commutativity and the unit, then that
     the generators applied to 1 span the algebra, then associativity through
-    the generators (see _validate).  Every Hom space relies on generation: a
-    map that commutes with the generators is algebra-linear.  Locality (a
-    nilpotent generator list) is certified by algebra_from_presentation;
-    products of local algebras carry their factor list instead of a maximal
-    ideal.
+    the generators (see _validate).  Locality (a nilpotent generator list) is
+    certified by algebra_from_presentation; products of local algebras carry
+    their factor list instead of a maximal ideal.  Hom spaces, traces and
+    isomorphism tests need one of the two, for the radical.
     """
 
     __slots__ = (
@@ -253,8 +252,13 @@ class FinAlgebra:
         return True
 
     def ideal_product(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
-        rows = [self.mul(u, v) for u in left.matrix for v in right.matrix]
-        return IdealSubspace(self.field.p, self.dim, rows)
+        """Span of u*v, with u*v = sum_i u_i*(e_i*v) from one action matrix per row v."""
+        p = self.field.p
+        rows = set()
+        for v in right.matrix:
+            action = [self.mul_basis(i, v) for i in range(self.dim)]
+            rows.update(linalg.combine(u, action, p) for u in left.matrix)
+        return IdealSubspace(p, self.dim, rows)
 
     def annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
         """{r : r * ideal = 0}, as the left kernel of the stacked action maps."""
@@ -278,39 +282,77 @@ class FinAlgebra:
 
     # -- homomorphisms and traces -------------------------------------------
 
+    def _hom_system(self, domain: IdealSubspace, codomain: IdealSubspace):
+        """Hom(domain, codomain) from a presentation of the domain.
+
+        The minimal generators x_1..x_k of the domain are its rref rows at the
+        pivots that are not pivots of rad*domain.  Pivots of a subspace are
+        pivots of the whole, and in the domain's row coordinates rad*domain is
+        in rref on its own pivots, so those rows map to a basis of
+        domain/rad*domain; by Nakayama they generate the domain.  One rref of
+        the rows (e_i*x_j | tag (j, i)) presents it: its top s rows write the
+        basis row v_a as sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and its
+        other rows span the syzygies of (x_j).  A map f is the tuple of images
+        y_j = f(x_j) in codomain coordinates, k*t unknowns, subject to
+        sum_j sigma_j*y_j = 0 for each syzygy sigma.
+
+        Returns (expressions, actions, kernel): expressions[a] holds
+        r_{a,1}..r_{a,k}; actions[b] is the matrix of r -> r*w_b in codomain
+        coordinates, w_b the codomain's rows; kernel is the right_kernel basis
+        of the constraints, y_j at entries j*t..j*t+t-1.
+        """
+        p, d, s = self.field.p, self.dim, domain.dim
+        below = self.ideal_product(self.radical(), domain).pivots
+        gens = [row for row, c in zip(domain.matrix, domain.pivots) if c not in below]
+        k = len(gens)
+        rows = []
+        for j, x in enumerate(gens):
+            for i in range(d):
+                tag = [0] * (k * d)
+                tag[j * d + i] = 1
+                rows.append(self.mul_basis(i, x) + tuple(tag))
+        presentation = linalg.rref(rows, p)[0]
+        blocks = [[row[d + j * d : d + (j + 1) * d] for j in range(k)] for row in presentation]
+        # a codomain of full dimension is R, whose coordinates are the vectors themselves
+        full = codomain.dim == d
+        actions = [
+            [v if full else tuple(v[c] for c in codomain.pivots) for v in (self.mul_basis(i, w) for i in range(d))]
+            for w in codomain.matrix
+        ]
+        constraints = set()
+        for sigma in blocks[s:]:
+            constraints.update(zip(*(linalg.combine(part, action, p) for part in sigma for action in actions)))
+        return blocks[:s], actions, linalg.right_kernel(constraints, k * codomain.dim, p)
+
     def hom_module(self, domain: IdealSubspace, codomain: IdealSubspace) -> HomBasis:
         """Basis of the module of algebra-linear maps domain -> codomain.
 
-        A map is determined by the images of the basis rows of the domain; the
-        linearity constraints f(r*v) = r*f(v) for every algebra generator r cut
-        out a linear subspace of the (dim I)x(dim J) coordinate matrices.
+        The maps come from the images of the domain's minimal generators
+        (_hom_system): f(v_a) = sum_j r_{a,j}*y_j.  They are returned as the
+        basis that right_kernel gives for the (dim I)x(dim J) coordinate
+        matrices that satisfy f(r*v) = r*f(v).
         """
         p = self.field.p
         s, t = domain.dim, codomain.dim
-        if s == 0 or t == 0:
-            return HomBasis(domain, codomain, ())
-        constraints = []
-        for g in self.generators:
-            lam = [domain.coordinates(linalg.combine(v, g, p)) for v in domain.matrix]
-            mu = [codomain.coordinates(linalg.combine(w, g, p)) for w in codomain.matrix]
-            for a in range(s):
-                for bp in range(t):
-                    row = [0] * (s * t)
-                    for c in range(s):
-                        row[c * t + bp] = (row[c * t + bp] + lam[a][c]) % p
-                    for b in range(t):
-                        row[a * t + b] = (row[a * t + b] - mu[b][bp]) % p
-                    constraints.append(tuple(row))
-        kernel = linalg.right_kernel(constraints, s * t, p)
-        maps = [tuple(tuple(vec[a * t + b] for b in range(t)) for a in range(s)) for vec in kernel]
+        expressions, actions, kernel = self._hom_system(domain, codomain)
+        # row a of a map is linear in the images: r_{a,j}*w_b for each unknown (j, b)
+        images = [[linalg.combine(r, action, p) for r in rs for action in actions] for rs in expressions]
+        flat = [
+            tuple(itertools.chain.from_iterable(linalg.combine(vec, image, p) for image in images)) for vec in kernel
+        ]
+        maps = [tuple(vec[a * t : (a + 1) * t] for a in range(s)) for vec in linalg.kernel_basis(flat, p)]
         return HomBasis(domain, codomain, maps)
 
     def trace_ideal(self, ideal: IdealSubspace) -> IdealSubspace:
-        """Ideal generated by all values f(v), f ranging over Hom(ideal, R)."""
-        # The codomain R has the identity as its rref basis, so row a of a map
-        # already is the image of row a of the ideal.
-        hom = self.hom_module(ideal, self.unit_ideal())
-        return IdealSubspace(self.field.p, self.dim, [row for m in hom.maps for row in m])
+        """Ideal generated by all values f(v), f ranging over Hom(ideal, R).
+
+        It is the span of the images y_j of the minimal generators over a basis
+        of Hom; that span is already an ideal, since r*f is a map too.
+        """
+        d = self.dim
+        # R has the identity as its rref basis, so y_j already is the element f(x_j)
+        kernel = self._hom_system(ideal, self.unit_ideal())[2]
+        return IdealSubspace(self.field.p, d, [vec[j : j + d] for vec in kernel for j in range(0, len(vec), d)])
 
     def trace_principal_via_ann(self, x) -> IdealSubspace:
         """Double annihilator ann(ann((x))); independent oracle for principal traces."""
@@ -323,7 +365,12 @@ class FinAlgebra:
 
         Raises SearchBudgetExceededError when the Hom space holds more than
         2**hom_cap_exponent maps; the instance is then beyond desk scale and
-        no answer is guessed.
+        no answer is guessed.  An isomorphism maps rad*left onto rad*right, so
+        left/rad*left and right/rad*right have the same dimension k.  A map f
+        with images y_j of the minimal generators of left has
+        f(left) + rad*right = F + rad*right, F the span of the y_j, so by
+        Nakayama f is onto, hence bijective, exactly when the y_j span
+        right/rad*right: a k x k test per candidate.
         """
         if left.dim != right.dim:
             return False
@@ -331,8 +378,8 @@ class FinAlgebra:
             return True
         if left == right:
             return True
-        hom = self.hom_module(left, right)
-        h = hom.dim
+        expressions, _, kernel = self._hom_system(left, right)
+        h = len(kernel)
         if h == 0:
             return False
         p = self.field.p
@@ -340,7 +387,17 @@ class FinAlgebra:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
             )
-        rows_by_index = [[m[a] for m in hom.maps] for a in range(left.dim)]
+        below = self.ideal_product(self.radical(), right)
+        top = [c for c in right.pivots if c not in below.pivots]
+        k, t = len(expressions[0]), right.dim
+        if k != len(top):
+            return False
+
+        def residue(coords):
+            y = linalg.reduce_vector(below.matrix, below.pivots, linalg.combine(coords, right.matrix, p), p)
+            return tuple(y[c] for c in top)
+
+        rows_by_index = [[residue(vec[j * t : (j + 1) * t]) for vec in kernel] for j in range(k)]
         for coeffs in itertools.product(range(p), repeat=h):
             if not any(coeffs):
                 continue
@@ -354,6 +411,12 @@ class FinAlgebra:
     @property
     def is_local(self) -> bool:
         return self.maximal_ideal is not None and self.factors is None
+
+    def radical(self) -> IdealSubspace:
+        """Jacobson radical: the maximal ideal, or the factors' maximal ideals blockwise."""
+        if self.is_local:
+            return self.maximal_ideal
+        return self.product_ideal([f.maximal_ideal for f in self.local_factors()])
 
     def local_factors(self):
         if self.is_local:

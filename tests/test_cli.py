@@ -6,6 +6,7 @@ import pytest
 
 from tracelab.cli import RingSpec, build_parser, parse_ring_spec, run
 from tracelab.errors import SpecError
+from tracelab.finalg import algebra_from_presentation
 
 
 # --- ring spec parsing ------------------------------------------------------------
@@ -228,6 +229,18 @@ def test_iso_with_a_huge_hom_cap_is_quick(capsys):
     assert run(argv + ["--cap-hom", "1000000000"]) == 0
     assert time.monotonic() - start < 1.0
     assert capsys.readouterr().out == "false\n"
+
+
+def test_trace_in_dimension_64_is_quick(capsys):
+    # F_2[x,y,z]/(x^4,y^4,z^4): Hom((xy), R) has one generator image, 64 unknowns
+    relations = ("x^4", "y^4", "z^4")
+    spec = json.dumps({"kind": "artinian", "field": 2, "vars": ["x", "y", "z"], "relations": relations})
+    start = time.monotonic()
+    assert run(["artinian", "--spec", spec, "--op", "trace", "--ideal-gens", "x*y"]) == 0
+    assert time.monotonic() - start < 1.0
+    algebra = algebra_from_presentation(2, ("x", "y", "z"), relations)
+    expected = algebra.format_ideal(algebra.trace_principal_via_ann(algebra.element("x*y")))
+    assert capsys.readouterr().out == expected + "\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from tracelab.errors import (
     StructureError,
 )
 from tracelab import linalg
-from tracelab.finalg import FinAlgebra, algebra_from_presentation, product_algebra
+from tracelab.finalg import FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
+from tracelab.numsgp import semigroup_new
 from tracelab.polyfp import Polynomial, PrimeField, buchberger, normal_form, standard_monomials
 from tracelab.verify import build_artinian_catalog, catalog_product_algebra
+
+from test_apery import apery_algebra
 
 
 # --- construction -------------------------------------------------------------
@@ -86,6 +90,21 @@ def test_bad_multiplication_tables_rejected(fat_point):
     B = fat_point
     with pytest.raises(StructureError, match="generate"):
         FinAlgebra(B.field, B.basis_labels, B.table, B.unit, generators=[B.table[1]])
+
+
+def test_hom_needs_a_locality_or_product_certificate(fat_point):
+    # the minimal generators of an ideal come from rad*I, and a bare table has
+    # no radical: local_factors() refuses it
+    B = fat_point
+    bare = FinAlgebra(B.field, B.basis_labels, B.table, B.unit)
+    x_ideal = bare.ideal_generate([B.element("x")])
+    y_ideal = bare.ideal_generate([B.element("y")])
+    with pytest.raises(StructureError, match="certificate"):
+        bare.hom_module(x_ideal, y_ideal)
+    with pytest.raises(StructureError, match="certificate"):
+        bare.trace_ideal(x_ideal)
+    with pytest.raises(StructureError, match="certificate"):
+        bare.is_isomorphic(x_ideal, y_ideal)
 
 
 def _oracle_associative(table, p):
@@ -339,12 +358,19 @@ def _oracle_hom_module(algebra, domain, codomain):
     return tuple(tuple(tuple(vec[a * t + b] for b in range(t)) for a in range(s)) for vec in kernel)
 
 
-def _assert_hom_matches_oracle(algebra):
-    ideals = algebra.enumerate_ideals()
-    for domain in ideals:
-        for codomain in ideals:
-            expected = _oracle_hom_module(algebra, domain, codomain)
-            assert algebra.hom_module(domain, codomain).maps == expected, algebra.label
+def _assert_hom_matches_oracle(algebra, pairs=None):
+    """hom_module gives the oracle's maps, in its order, on the pairs (every
+    pair of ideals by default); trace_ideal of each domain is the ideal spanned
+    by the images of the maps to R, whose rref basis is the identity."""
+    if pairs is None:
+        pairs = list(itertools.product(algebra.enumerate_ideals(), repeat=2))
+    for domain, codomain in pairs:
+        expected = _oracle_hom_module(algebra, domain, codomain)
+        assert algebra.hom_module(domain, codomain).maps == expected, algebra.label
+    unit = algebra.unit_ideal()
+    for domain in {domain for domain, _ in pairs}:
+        images = [row for m in algebra.hom_module(domain, unit).maps for row in m]
+        assert algebra.trace_ideal(domain) == IdealSubspace(algebra.field.p, algebra.dim, images), algebra.label
 
 
 def test_hom_from_generators_matches_the_basis_oracle_on_the_catalog():
@@ -364,6 +390,54 @@ def test_hom_from_generators_matches_the_basis_oracle_on_binomial_algebras(binom
     assert len(products) >= 3
     for algebra in algebras + products:
         _assert_hom_matches_oracle(algebra)
+
+
+def test_hom_matches_the_basis_oracle_on_apery_algebras():
+    # bare tables certified local, whose generators include the unit row:
+    # rad*I must come from the maximal ideal, not from the generators
+    seen = set()
+    for p, top in ((2, 5), (3, 3)):
+        for m in range(2, top + 1):
+            for others in itertools.chain.from_iterable(
+                itertools.combinations(range(m + 1, 3 * m + 2), size) for size in (1, 2)
+            ):
+                if math.gcd(m, *others) == 1:
+                    sgp = semigroup_new([m, *others])
+                    if (p, sgp.generators) not in seen:
+                        seen.add((p, sgp.generators))
+                        _assert_hom_matches_oracle(apery_algebra(sgp, p))
+    assert len(seen) == 80
+
+
+def _random_ideal(rng, algebra, power):
+    """The ideal generated by 1-3 elements, each a random combination of 1-2 rows of power."""
+    p = algebra.field.p
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        rows = rng.sample(power.matrix, rng.randrange(1, 3))
+        gens.append(linalg.combine([rng.randrange(1, p) for _ in rows], rows, p))
+    return algebra.ideal_generate(gens)
+
+
+@pytest.mark.parametrize(
+    "p,variables,relations,exponent",
+    [(2, "xy", ("x^3", "y^4"), 1), (3, "xy", ("x^4", "y^4"), 2), (2, "xyz", ("x^3", "y^3", "z^3"), 3)],
+)
+def test_hom_matches_the_basis_oracle_on_seeded_ideal_pairs(p, variables, relations, exponent):
+    # ideals inside m^exponent keep the oracle's (dim I)(dim J) unknowns small
+    algebra = algebra_from_presentation(p, tuple(variables), relations)
+    power = algebra.maximal_ideal
+    for _ in range(exponent - 1):
+        power = algebra.ideal_product(power, algebra.maximal_ideal)
+    rng = random.Random(f"hom/{algebra.label}")
+    pairs = []
+    while len(pairs) < 40:
+        domain, codomain = _random_ideal(rng, algebra, power), _random_ideal(rng, algebra, power)
+        if domain.dim * codomain.dim <= 150:
+            pairs.append((domain, codomain))
+    # some domain needs two or more generators: dim I/mI >= 2
+    assert max(d.dim - algebra.ideal_product(algebra.maximal_ideal, d).dim for d, _ in pairs) >= 2
+    _assert_hom_matches_oracle(algebra, pairs)
 
 
 def test_generators_of_presentations_and_products():
@@ -461,6 +535,53 @@ def test_isomorphism_invariance_of_trace_and_hom_dimension(fat_point):
                     assert (
                         B.hom_module(left, other).dim == B.hom_module(right, other).dim
                     )
+
+
+def _oracle_is_isomorphic(algebra, left, right, hom_cap_exponent):
+    """The s x s search: the same early exits, budget and candidate order over
+    the hom_module maps, each candidate tested by is_invertible on its matrix."""
+    if left.dim != right.dim:
+        return False
+    if left.dim == 0 or left == right:
+        return True
+    hom = algebra.hom_module(left, right)
+    h = hom.dim
+    if h == 0:
+        return False
+    p = algebra.field.p
+    if (p**h - 1).bit_length() > hom_cap_exponent:
+        raise SearchBudgetExceededError(f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget")
+    rows_by_index = [[m[a] for m in hom.maps] for a in range(left.dim)]
+    for coeffs in itertools.product(range(p), repeat=h):
+        if any(coeffs) and linalg.is_invertible([linalg.combine(coeffs, rows, p) for rows in rows_by_index], p):
+            return True
+    return False
+
+
+def _answer(is_isomorphic, *args):
+    try:
+        return is_isomorphic(*args)
+    except SearchBudgetExceededError as exc:
+        return str(exc)
+
+
+def test_isomorphism_matches_the_square_search_oracle(binomial_algebras):
+    algebras = binomial_algebras(seed=11, count=40)
+    products = [product_algebra(a, b) for a, b in zip(algebras, algebras[1:]) if a.field.p == b.field.p]
+    catalog = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    pairs = nontrivial = 0
+    for algebra in catalog + algebras + products:
+        ideals = algebra.enumerate_ideals()
+        for left, right in itertools.product(ideals, repeat=2):
+            if left.dim != right.dim:
+                continue
+            pairs += 1
+            for cap in (0, 1, 2, 3, 22):
+                expected = _answer(_oracle_is_isomorphic, algebra, left, right, cap)
+                assert _answer(algebra.is_isomorphic, left, right, cap) == expected, (algebra.label, cap)
+            nontrivial += expected is True and left != right
+    assert len(products) >= 5
+    assert pairs >= 1500 and nontrivial >= 500
 
 
 def test_isomorphism_budget(fat_point):
