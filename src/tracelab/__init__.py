@@ -44,9 +44,6 @@ from .numsgp import (
     trace,
 )
 from .polyfp import (
-    DEGREVLEX,
-    LEX,
-    MonomialOrder,
     Polynomial,
     PrimeField,
     buchberger,

@@ -18,7 +18,10 @@ class NotZeroDimensionalError(TraceLabError):
 
 
 class NotLocalError(TraceLabError):
-    """The presented quotient is not local with prime residue field."""
+    """The presented quotient is not local at the origin: some variable is not
+    nilpotent.  A local ring whose maximal ideal lies elsewhere, such as
+    F_2[x]/(x^2+1), is refused too; present it in shifted variables (u^2 with
+    u = x + 1)."""
 
 
 class NotNumericalSemigroupError(TraceLabError):

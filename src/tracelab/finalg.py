@@ -232,17 +232,20 @@ class FinAlgebra:
         On a local algebra the coordinate of an element of the ideal at the
         pivot of rref row r is its r-th rref coefficient, and those before it
         depend only on the earlier coefficients, so the coordinate order on the
-        ideal is the lexicographic order on the coefficients.  The least element
-        outside m*ideal is then the last row outside it, and by Nakayama the
-        elements outside m*ideal are exactly the generators.  An ideal of a
-        product is generated blockwise.
+        ideal is the lexicographic order on the coefficients.  By Nakayama the
+        ideal is principal exactly when it has one minimal generator, row j,
+        and its generators are then the elements outside m*ideal.  In the
+        ideal's row coordinates m*ideal is in rref with every position but j
+        as a pivot, so the rows after j lie in m*ideal and row j is the least
+        element outside it.  An ideal of a product is generated blockwise.
         """
         if not self.is_local:
             parts = [f.least_generator(i) for f, i in zip(self.local_factors(), self.factor_ideals(ideal))]
             return None if None in parts else tuple(itertools.chain.from_iterable(parts))
         if ideal.dim == 0:
             return self.zero_vector()
-        return next((row for row in reversed(ideal.matrix) if self.principal_ideal(row) == ideal), None)
+        rows = self.minimal_generators(ideal)[0]
+        return ideal.matrix[rows[0]] if len(rows) == 1 else None
 
     def is_ideal(self, sub: IdealSubspace) -> bool:
         for i in range(self.dim):
@@ -282,17 +285,26 @@ class FinAlgebra:
 
     # -- homomorphisms and traces -------------------------------------------
 
+    def minimal_generators(self, ideal: IdealSubspace):
+        """(rows, below): the indices of the ideal's minimal generators among
+        its rref rows, and below = rad*ideal.
+
+        The minimal generators are the rref rows at the pivots that are not
+        pivots of rad*ideal.  Pivots of a subspace are pivots of the whole,
+        and in the ideal's row coordinates rad*ideal is in rref on its own
+        pivots, so those rows map to a basis of ideal/rad*ideal; by Nakayama
+        they generate the ideal.
+        """
+        below = self.ideal_product(self.radical(), ideal)
+        return [a for a, c in enumerate(ideal.pivots) if c not in below.pivots], below
+
     def _hom_system(self, domain: IdealSubspace, codomain: IdealSubspace):
         """Hom(domain, codomain) from a presentation of the domain.
 
-        The minimal generators x_1..x_k of the domain are its rref rows at the
-        pivots that are not pivots of rad*domain.  Pivots of a subspace are
-        pivots of the whole, and in the domain's row coordinates rad*domain is
-        in rref on its own pivots, so those rows map to a basis of
-        domain/rad*domain; by Nakayama they generate the domain.  One rref of
-        the rows (e_i*x_j | tag (j, i)) presents it: its top s rows write the
-        basis row v_a as sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and its
-        other rows span the syzygies of (x_j).  A map f is the tuple of images
+        x_1..x_k are the domain's minimal_generators.  One rref of the rows
+        (e_i*x_j | tag (j, i)) presents it: its top s rows write the basis row
+        v_a as sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and its other
+        rows span the syzygies of (x_j).  A map f is the tuple of images
         y_j = f(x_j) in codomain coordinates, k*t unknowns, subject to
         sum_j sigma_j*y_j = 0 for each syzygy sigma.
 
@@ -302,8 +314,7 @@ class FinAlgebra:
         of the constraints, y_j at entries j*t..j*t+t-1.
         """
         p, d, s = self.field.p, self.dim, domain.dim
-        below = self.ideal_product(self.radical(), domain).pivots
-        gens = [row for row, c in zip(domain.matrix, domain.pivots) if c not in below]
+        gens = [domain.matrix[a] for a in self.minimal_generators(domain)[0]]
         k = len(gens)
         rows = []
         for j, x in enumerate(gens):
@@ -387,8 +398,8 @@ class FinAlgebra:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
             )
-        below = self.ideal_product(self.radical(), right)
-        top = [c for c in right.pivots if c not in below.pivots]
+        rows, below = self.minimal_generators(right)
+        top = [right.pivots[a] for a in rows]
         k, t = len(expressions[0]), right.dim
         if k != len(top):
             return False
@@ -426,10 +437,11 @@ class FinAlgebra:
         raise StructureError("algebra carries neither a locality nor a product certificate")
 
     def is_gorenstein(self) -> bool:
-        """Socle criterion: the annihilator of the maximal ideal is 1-dimensional."""
-        if self.is_local:
-            return self.annihilator(self.maximal_ideal).dim == 1
-        return all(f.is_gorenstein() for f in self.local_factors())
+        """Socle criterion: ann(rad) has dimension dim R - dim rad, one per
+        local factor, since each factor has residue field F_p and the socle
+        of a product is the sum of the factors' socles, none of them zero."""
+        rad = self.radical()
+        return self.annihilator(rad).dim == self.dim - rad.dim
 
     def enumerate_ideals(self, cap_dim=None):
         """All multiplicatively closed subspaces, canonically ordered by dimension.
@@ -519,6 +531,8 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
     monomial is not nilpotent.  Those monomials generate the algebra, so they
     are nilpotent exactly when the span of the non-constant standard
     monomials is a proper nilpotent ideal, which is then the maximal ideal.
+    Locality is thus certified at the origin only: F_2[x]/(x^2+1) is local
+    but raises NotLocalError, and is presented as F_2[u]/(u^2), u = x + 1.
     """
     field = PrimeField(p)
     variables = tuple(variables)

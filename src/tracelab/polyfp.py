@@ -1,9 +1,9 @@
 """Multivariate polynomial arithmetic over prime fields.
 
-Provides monomial orders (degrevlex, lex), normal forms with multiplier
-tracking, Buchberger's algorithm, and standard-monomial bases of
-zero-dimensional quotients.  Coefficients live in F_p; monomials are plain
-tuples of exponents, one entry per variable.
+Provides normal forms with multiplier tracking, Buchberger's algorithm, and
+standard-monomial bases of zero-dimensional quotients, all in one term order,
+degrevlex.  Coefficients live in F_p; monomials are plain tuples of exponents,
+one entry per variable.
 
 Polynomial text grammar (used by the CLI and by tests):
     poly   :=  term ('+' term)*
@@ -104,35 +104,10 @@ def display_key(m: Monomial):
     return (sum(m), tuple(reversed(m)))
 
 
-class MonomialOrder:
-    """A total, multiplicative well-order on monomials."""
+def degrevlex(m: Monomial):
+    """Sort key of the degree reverse lexicographic order, the one term order."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
-    __slots__ = ("kind",)
-
-    KINDS = ("degrevlex", "lex")
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise StructureError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Monomial):
-        if self.kind == "degrevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return tuple(m)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(("MonomialOrder", self.kind))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _POWER_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
@@ -229,15 +204,15 @@ class Polynomial:
             self.field, self.variables, {mon_mul(m, mon): c * coeff for m, c in self.terms.items()}
         )
 
-    def leading(self, order: MonomialOrder):
+    def leading(self):
         """(monomial, coefficient) of the leading term, or None for the zero polynomial."""
         if not self.terms:
             return None
-        mon = max(self.terms, key=order.key)
+        mon = max(self.terms, key=degrevlex)
         return mon, self.terms[mon]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        lead = self.leading(order)
+    def monic(self) -> "Polynomial":
+        lead = self.leading()
         if lead is None:
             return self
         return self * self.field.inv(lead[1])
@@ -253,11 +228,11 @@ class Polynomial:
     def __hash__(self):
         return hash((self.field, self.variables, frozenset(self.terms.items())))
 
-    def to_text(self, order: MonomialOrder = DEGREVLEX) -> str:
+    def to_text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mon in sorted(self.terms, key=order.key, reverse=True):
+        for mon in sorted(self.terms, key=degrevlex, reverse=True):
             c = self.terms[mon]
             factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(self.variables, mon) if e]
             if not factors:
@@ -282,7 +257,7 @@ def _check_family(polys):
     return polys
 
 
-def reduce(f: Polynomial, basis, order: MonomialOrder):
+def reduce(f: Polynomial, basis):
     """Divide f by the basis.
 
     Returns (remainder, quotients) with  f == sum(q_i * g_i) + remainder  and
@@ -292,13 +267,13 @@ def reduce(f: Polynomial, basis, order: MonomialOrder):
     basis = _check_family([f] + list(basis))[1:]
     if not basis:
         raise StructureError("empty reduction basis")
-    leads = [g.leading(order) for g in basis]
+    leads = [g.leading() for g in basis]
     work = f
     remainder = Polynomial.zero(f.field, f.variables)
     quotients = [Polynomial.zero(f.field, f.variables) for _ in basis]
     p = f.field.p
     while not work.is_zero():
-        mon, coeff = work.leading(order)
+        mon, coeff = work.leading()
         for i, lead in enumerate(leads):
             if lead is not None and mon_divides(lead[0], mon):
                 factor_c = (coeff * f.field.inv(lead[1])) % p
@@ -313,22 +288,22 @@ def reduce(f: Polynomial, basis, order: MonomialOrder):
     return remainder, quotients
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis."""
-    return reduce(f, basis, order)[0]
+    return reduce(f, basis)[0]
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_compatible(g)
-    mf, cf = f.leading(order)
-    mg, cg = g.leading(order)
+    mf, cf = f.leading()
+    mg, cg = g.leading()
     lcm = mon_lcm(mf, mg)
     left = f.term_mul(f.field.inv(cf), mon_div(lcm, mf))
     right = g.term_mul(g.field.inv(cg), mon_div(lcm, mg))
     return left - right
 
 
-def buchberger(gens, order: MonomialOrder = DEGREVLEX):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Pair selection is by (degree of the lcm, pair index), which makes the
@@ -336,33 +311,33 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     criteria are applied; inputs here are tiny.
     """
     gens = _check_family(gens)
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         return []
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
         def lcm_deg(pair):
-            mi = basis[pair[0]].leading(order)[0]
-            mj = basis[pair[1]].leading(order)[0]
+            mi = basis[pair[0]].leading()[0]
+            mj = basis[pair[1]].leading()[0]
             return mon_degree(mon_lcm(mi, mj))
 
         i, j = min(pairs, key=lambda pr: (lcm_deg(pr), pr))
         pairs.remove((i, j))
-        rem = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not rem.is_zero():
-            basis.append(rem.monic(order))
+            basis.append(rem.monic())
             k = len(basis) - 1
             pairs.update((i2, k) for i2 in range(k))
-    return _interreduce(basis, order)
+    return _interreduce(basis)
 
 
-def _interreduce(basis, order):
+def _interreduce(basis):
     """Minimalize and autoreduce a Groebner basis; result is the reduced basis."""
-    by_lead = sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
+    by_lead = sorted(basis, key=lambda g: degrevlex(g.leading()[0]))
     minimal = []
     for g in by_lead:
-        lm = g.leading(order)[0]
-        if not any(mon_divides(h.leading(order)[0], lm) for h in minimal):
+        lm = g.leading()[0]
+        if not any(mon_divides(h.leading()[0], lm) for h in minimal):
             minimal.append(g)
     changed = True
     while changed:
@@ -371,24 +346,24 @@ def _interreduce(basis, order):
             others = minimal[:i] + minimal[i + 1 :]
             if not others:
                 continue
-            rem = normal_form(minimal[i], others, order).monic(order)
+            rem = normal_form(minimal[i], others).monic()
             if rem != minimal[i]:
                 minimal[i] = rem
                 changed = True
-    return sorted(minimal, key=lambda g: order.key(g.leading(order)[0]))
+    return sorted(minimal, key=lambda g: degrevlex(g.leading()[0]))
 
 
-def is_groebner(basis, order: MonomialOrder = DEGREVLEX) -> bool:
+def is_groebner(basis) -> bool:
     """Buchberger criterion: every S-polynomial reduces to zero."""
     basis = [g for g in _check_family(basis) if not g.is_zero()]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not normal_form(s_polynomial(basis[i], basis[j], order), basis, order).is_zero():
+            if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
                 return False
     return True
 
 
-def standard_monomials(basis, order: MonomialOrder = DEGREVLEX):
+def standard_monomials(basis):
     """Monomials divisible by no leading monomial of a zero-dimensional Groebner basis.
 
     These form an F_p-basis of the quotient by the ideal.  Raises if the
@@ -398,10 +373,10 @@ def standard_monomials(basis, order: MonomialOrder = DEGREVLEX):
     basis = [g for g in _check_family(basis) if not g.is_zero()] if basis else []
     if not basis:
         raise StructureError("empty generating set")
-    if not is_groebner(basis, order):
+    if not is_groebner(basis):
         raise StructureError("input is not a Groebner basis")
     nvars = len(basis[0].variables)
-    leads = [g.leading(order)[0] for g in basis]
+    leads = [g.leading()[0] for g in basis]
     if any(mon_degree(lm) == 0 for lm in leads):
         return []  # unit ideal, zero quotient
     bounds = []

@@ -185,6 +185,19 @@ def test_ring_construction_errors_carry_the_engine_class(capsys, document, engin
     assert captured.err.startswith(f"error[{engine_error}]: ")
 
 
+def test_locality_is_certified_at_the_origin(capsys):
+    # F_2[x]/(x^2+1) is local, but x is a unit there: it is refused, and the
+    # same ring presented in u = x + 1 is accepted
+    shifted = '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^2+1"]}'
+    assert run(["artinian", "--spec", shifted, "--op", "enumerate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[NotLocalError]: ")
+    origin = '{"kind":"artinian","field":2,"vars":["u"],"relations":["u^2"]}'
+    assert run(["artinian", "--spec", origin, "--op", "enumerate"]) == 0
+    assert capsys.readouterr().out == "0\nu\n1, u\n"
+
+
 def test_semigroup_beyond_the_gap_cap_is_undecided_quickly(capsys):
     start = time.monotonic()
     assert run(["semigroup", "--gens", "1000,1001", "--suite", "all", "--format", "json"]) == 0

@@ -105,6 +105,10 @@ def test_hom_needs_a_locality_or_product_certificate(fat_point):
         bare.trace_ideal(x_ideal)
     with pytest.raises(StructureError, match="certificate"):
         bare.is_isomorphic(x_ideal, y_ideal)
+    with pytest.raises(StructureError, match="certificate"):
+        bare.least_generator(x_ideal)
+    with pytest.raises(StructureError, match="certificate"):
+        bare.is_gorenstein()
 
 
 def _oracle_associative(table, p):
@@ -392,10 +396,10 @@ def test_hom_from_generators_matches_the_basis_oracle_on_binomial_algebras(binom
         _assert_hom_matches_oracle(algebra)
 
 
-def test_hom_matches_the_basis_oracle_on_apery_algebras():
-    # bare tables certified local, whose generators include the unit row:
-    # rad*I must come from the maximal ideal, not from the generators
-    seen = set()
+def _apery_algebras():
+    """The 80 Apery algebras of the test_apery.py ranges: bare tables certified
+    local, whose generators include the unit row."""
+    seen = {}
     for p, top in ((2, 5), (3, 3)):
         for m in range(2, top + 1):
             for others in itertools.chain.from_iterable(
@@ -403,10 +407,15 @@ def test_hom_matches_the_basis_oracle_on_apery_algebras():
             ):
                 if math.gcd(m, *others) == 1:
                     sgp = semigroup_new([m, *others])
-                    if (p, sgp.generators) not in seen:
-                        seen.add((p, sgp.generators))
-                        _assert_hom_matches_oracle(apery_algebra(sgp, p))
+                    seen.setdefault((p, sgp.generators), (sgp, p))
     assert len(seen) == 80
+    return [apery_algebra(sgp, p) for sgp, p in seen.values()]
+
+
+def test_hom_matches_the_basis_oracle_on_apery_algebras():
+    # rad*I must come from the maximal ideal, not from the generators
+    for algebra in _apery_algebras():
+        _assert_hom_matches_oracle(algebra)
 
 
 def _random_ideal(rng, algebra, power):
@@ -484,6 +493,40 @@ def test_least_generator(chain_algebra, fat_point):
     uncertified = FinAlgebra(PrimeField(2), ["1"], [[(1,)]], (1,))
     with pytest.raises(StructureError):
         uncertified.least_generator(uncertified.unit_ideal())
+
+
+def _oracle_least_generator(algebra, ideal):
+    """The scan least_generator replaced: the last rref row whose principal
+    ideal is the ideal, blockwise on a product."""
+    if not algebra.is_local:
+        parts = [_oracle_least_generator(f, i) for f, i in zip(algebra.local_factors(), algebra.factor_ideals(ideal))]
+        return None if None in parts else tuple(itertools.chain.from_iterable(parts))
+    if ideal.dim == 0:
+        return algebra.zero_vector()
+    return next((row for row in reversed(ideal.matrix) if algebra.principal_ideal(row) == ideal), None)
+
+
+def _oracle_is_gorenstein(algebra):
+    """The socle criterion factor by factor: each socle is one-dimensional."""
+    return all(f.annihilator(f.maximal_ideal).dim == 1 for f in algebra.local_factors())
+
+
+def test_least_generator_and_gorenstein_match_the_oracles(binomial_algebras):
+    catalog = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    algebras = binomial_algebras(seed=11, count=40)
+    products = [product_algebra(a, b) for a, b in zip(algebras, algebras[1:]) if a.field.p == b.field.p]
+    assert len(products) >= 5
+    principal = not_principal = 0
+    for algebra in catalog + algebras + products + _apery_algebras():
+        for ideal in algebra.enumerate_ideals():
+            expected = _oracle_least_generator(algebra, ideal)
+            assert algebra.least_generator(ideal) == expected, algebra.label
+            principal += expected is not None
+            not_principal += expected is None
+        assert algebra.is_gorenstein() == _oracle_is_gorenstein(algebra), algebra.label
+    assert min(principal, not_principal) >= 100
+    # products of Gorenstein factors and products with a non-Gorenstein factor
+    assert {True, False} <= {p.is_gorenstein() for p in products}
 
 
 def test_trace_agrees_with_double_annihilator_on_all_elements(
