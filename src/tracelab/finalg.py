@@ -20,9 +20,10 @@ from .errors import (
     SearchBudgetExceededError,
     StructureError,
 )
-from .polyfp import Polynomial, PrimeField, buchberger, normal_form, standard_monomials
+from .polyfp import Polynomial, PrimeField, buchberger, mon_div, mon_mul, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
+TABLE_CAP_DIM = 128  # largest presented algebra whose d^3-entry table is built
 
 
 class IdealSubspace:
@@ -169,7 +170,11 @@ class FinAlgebra:
         return (0,) * self.dim
 
     def mul(self, u, v):
-        return linalg.combine(u, [self.mul_basis(i, v) for i in range(self.dim)], self.field.p)
+        return linalg.combine(u, self.action(v), self.field.p)
+
+    def action(self, v):
+        """The rows e_i * v: the matrix of multiplication by v."""
+        return [self.mul_basis(i, v) for i in range(self.dim)]
 
     def mul_basis(self, i, v):
         """e_i * v, read from row i of the table (the regular representation of e_i)."""
@@ -180,11 +185,22 @@ class FinAlgebra:
         return (tuple(v) for v in itertools.product(range(self.field.p), repeat=self.dim))
 
     def element(self, text: str):
-        """Coordinate vector of a polynomial expression in the presentation variables."""
+        """Coordinate vector of a polynomial expression in the presentation variables:
+        each monomial is a product of powers of the variables' values, taken by
+        square-and-multiply."""
         if self._presentation is None:
             raise StructureError("algebra has no polynomial presentation")
-        variables, groebner, index = self._presentation
-        return _reduced_vector(Polynomial.parse(self.field, variables, text), groebner, index)
+        variables, values = self._presentation
+        vec = self.zero_vector()
+        for mon, c in Polynomial.parse(self.field, variables, text).terms.items():
+            term = self.unit
+            for x, e in zip(values, mon):
+                while e:
+                    if e & 1:
+                        term = self.mul(term, x)
+                    x, e = self.mul(x, x), e >> 1
+            vec = linalg.combine((1, c), (vec, term), self.field.p)
+        return vec
 
     def format_element(self, vec) -> str:
         parts = []
@@ -217,10 +233,7 @@ class FinAlgebra:
     def ideal_generate(self, gens) -> IdealSubspace:
         """Smallest ideal containing the given coordinate vectors."""
         rows = [tuple(g) for g in gens]
-        for g in list(rows):
-            for i in range(self.dim):
-                rows.append(self.mul_basis(i, g))
-        return IdealSubspace(self.field.p, self.dim, rows)
+        return IdealSubspace(self.field.p, self.dim, rows + [r for g in rows for r in self.action(g)])
 
     def principal_ideal(self, x) -> IdealSubspace:
         return self.ideal_generate([x])
@@ -259,7 +272,7 @@ class FinAlgebra:
         p = self.field.p
         rows = set()
         for v in right.matrix:
-            action = [self.mul_basis(i, v) for i in range(self.dim)]
+            action = self.action(v)
             rows.update(linalg.combine(u, action, p) for u in left.matrix)
         return IdealSubspace(p, self.dim, rows)
 
@@ -318,16 +331,16 @@ class FinAlgebra:
         k = len(gens)
         rows = []
         for j, x in enumerate(gens):
-            for i in range(d):
+            for i, product in enumerate(self.action(x)):
                 tag = [0] * (k * d)
                 tag[j * d + i] = 1
-                rows.append(self.mul_basis(i, x) + tuple(tag))
+                rows.append(product + tuple(tag))
         presentation = linalg.rref(rows, p)[0]
         blocks = [[row[d + j * d : d + (j + 1) * d] for j in range(k)] for row in presentation]
         # a codomain of full dimension is R, whose coordinates are the vectors themselves
         full = codomain.dim == d
         actions = [
-            [v if full else tuple(v[c] for c in codomain.pivots) for v in (self.mul_basis(i, w) for i in range(d))]
+            [v if full else tuple(v[c] for c in codomain.pivots) for v in self.action(w)]
             for w in codomain.matrix
         ]
         constraints = set()
@@ -509,30 +522,20 @@ class FinAlgebra:
         return tuple(out)
 
 
-def _reduced_vector(poly, groebner, index):
-    """Coordinates of the normal form of poly in the standard-monomial basis."""
-    if groebner:
-        poly = normal_form(poly, groebner)
-    vec = [0] * len(index)
-    for mon, c in poly.terms.items():
-        if mon not in index:
-            raise StructureError("polynomial does not reduce into the basis")
-        vec[index[mon]] = c
-    return tuple(vec)
-
-
 def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra:
     """Quotient of F_p[variables] by the relations, certified local.
 
     The basis is the set of degrevlex standard monomials of a Groebner basis
-    of the relations; the multiplication table stores the normal forms of
-    basis products.  Raises NotZeroDimensionalError when the quotient is
-    infinite dimensional and NotLocalError when a degree-one standard
-    monomial is not nilpotent.  Those monomials generate the algebra, so they
-    are nilpotent exactly when the span of the non-constant standard
-    monomials is a proper nilpotent ideal, which is then the maximal ideal.
-    Locality is thus certified at the origin only: F_2[x]/(x^2+1) is local
-    but raises NotLocalError, and is presented as F_2[u]/(u^2), u = x + 1.
+    of the relations.  Row m of a variable x's matrix is the normal form of
+    x*m; the monomials are graded, so table row m is x's matrix applied to
+    row m/x.  Raises NotZeroDimensionalError when the quotient is infinite
+    dimensional, StructureError past TABLE_CAP_DIM dimensions, and
+    NotLocalError when a standard variable is not nilpotent.  Those variables
+    generate the algebra, so they are nilpotent exactly when the span of the
+    non-constant standard monomials is a proper nilpotent ideal, which is
+    then the maximal ideal.  Locality is thus certified at the origin only:
+    F_2[x]/(x^2+1) is local but raises NotLocalError, and is presented as
+    F_2[u]/(u^2), u = x + 1.
     """
     field = PrimeField(p)
     variables = tuple(variables)
@@ -555,23 +558,30 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
         mons = standard_monomials(groebner)
         if not mons:
             raise NotLocalError("relations generate the unit ideal: the quotient is the zero ring")
-    index = {m: k for k, m in enumerate(mons)}
     d = len(mons)
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            prod = Polynomial(field, variables, {tuple(a + b for a, b in zip(mons[i], mons[j])): 1})
-            vec = _reduced_vector(prod, groebner, index)
-            table[i][j] = vec
-            table[j][i] = vec
+    if d > TABLE_CAP_DIM:
+        raise StructureError(f"dimension {d} exceeds the table cap {TABLE_CAP_DIM}")
+    index = {m: k for k, m in enumerate(mons)}
+
+    def vector(mon):
+        terms = normal_form(Polynomial(field, variables, {mon: 1}), groebner).terms
+        return tuple(terms.get(m, 0) for m in mons)
+
+    steps = [tuple(int(i == v) for i in range(len(variables))) for v in range(len(variables))]
+    matrices = [[vector(mon_mul(m, step)) for m in mons] for step in steps]
+    # mons[0] is the constant monomial, whose row is the identity
+    table = [[tuple(int(j == k) for j in range(d)) for k in range(d)]]
+    for m in mons[1:]:
+        v = next(i for i, e in enumerate(m) if e)
+        below = table[index[mon_div(m, steps[v])]]
+        table.append([linalg.combine(row, matrices[v], p) for row in below])
 
     labels = [Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons]
-    unit = tuple(1 if k == index[(0,) * len(variables)] else 0 for k in range(d))
-    # Each non-constant standard monomial is a standard variable times a
-    # standard monomial, so the degree-one ones generate the algebra.
-    degree_one = [table[k] for k, m in enumerate(mons) if sum(m) == 1]
-    algebra = FinAlgebra(field, labels, table, unit, label=label, generators=degree_one)
-    algebra._presentation = (variables, groebner, index)
+    # the standard variables generate the algebra: each non-constant standard
+    # monomial is one of them times a standard monomial
+    generators = [matrices[v] for v, step in enumerate(steps) if step in index]
+    algebra = FinAlgebra(field, labels, table, table[0][0], label=label, generators=generators)
+    algebra._presentation = (variables, [matrix[0] for matrix in matrices])
 
     for g in algebra.generators:
         power = algebra.unit

@@ -250,14 +250,19 @@ def maximal_ideal(sgp: NumericalSemigroup) -> RelativeIdeal:
 
 
 def ideal_from_gens(sgp: NumericalSemigroup, offsets) -> RelativeIdeal:
-    """Union of the translates offset + S."""
+    """Union of the translates offset + S.
+
+    An offset at or beyond least + conductor lies in least + S, which then
+    holds its translate, so it is dropped before any shift."""
     offsets = sorted(set(int(z) for z in offsets))
     if not offsets:
         raise StructureError("at least one offset is required")
-    bits = 0
-    for z in offsets:
-        bits |= sgp.bits << (z - offsets[0])
-    return RelativeIdeal.from_members(sgp, bits, offsets[0])
+    least, conductor = offsets[0], sgp.conductor
+    bits = sgp.bits
+    for z in offsets[1:]:
+        if z - least < conductor:
+            bits |= sgp.bits << (z - least)
+    return RelativeIdeal.from_members(sgp, bits, least)
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:

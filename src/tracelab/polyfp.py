@@ -1,9 +1,9 @@
 """Multivariate polynomial arithmetic over prime fields.
 
-Provides normal forms with multiplier tracking, Buchberger's algorithm, and
-standard-monomial bases of zero-dimensional quotients, all in one term order,
-degrevlex.  Coefficients live in F_p; monomials are plain tuples of exponents,
-one entry per variable.
+Provides normal forms, Buchberger's algorithm, and standard-monomial bases
+of zero-dimensional quotients, all in one term order, degrevlex.
+Coefficients live in F_p; monomials are plain tuples of exponents, one entry
+per variable.
 
 Polynomial text grammar (used by the CLI and by tests):
     poly   :=  term ('+' term)*
@@ -16,6 +16,7 @@ Whitespace is ignored everywhere.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 from .errors import (
@@ -25,6 +26,8 @@ from .errors import (
 )
 
 Monomial = tuple  # exponent vectors, one non-negative int per variable
+
+STANDARD_BOX_CAP = 1 << 20  # most candidate monomials standard_monomials enumerates
 
 
 # Miller-Rabin on the first twelve prime bases is exact below psi_12, the
@@ -113,6 +116,14 @@ _INT_RE = re.compile(r"[+-]?\d+$")
 _POWER_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 
+def _parse_int(digits: str) -> int:
+    """int(digits), refusing numbers past the interpreter's digit limit as bad text."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise PolynomialSyntaxError(f"integer of {len(digits)} digits in polynomial text") from exc
+
+
 class Polynomial:
     """Element of F_p[variables], stored as a canonical monomial -> coefficient map."""
 
@@ -132,10 +143,6 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def zero(cls, field, variables):
-        return cls(field, variables, {})
-
-    @classmethod
     def parse(cls, field: PrimeField, variables, text: str) -> "Polynomial":
         """Parse the polynomial text grammar documented at module level."""
         variables = tuple(variables)
@@ -153,7 +160,7 @@ class Polynomial:
                 if not factor:
                     raise PolynomialSyntaxError(f"empty factor in {text!r}")
                 if _INT_RE.match(factor):
-                    coeff *= int(factor)
+                    coeff *= _parse_int(factor)
                     continue
                 m = _POWER_RE.match(factor)
                 if not m:
@@ -161,7 +168,7 @@ class Polynomial:
                 name, exp = m.group(1), m.group(2)
                 if name not in index:
                     raise PolynomialSyntaxError(f"unknown variable {name!r} in {text!r}")
-                exps[index[name]] += int(exp) if exp is not None else 1
+                exps[index[name]] += _parse_int(exp) if exp is not None else 1
             mon = tuple(exps)
             terms[mon] = terms.get(mon, 0) + coeff
         return cls(field, variables, terms)
@@ -257,40 +264,35 @@ def _check_family(polys):
     return polys
 
 
-def reduce(f: Polynomial, basis):
-    """Divide f by the basis.
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f on division by the basis.
 
-    Returns (remainder, quotients) with  f == sum(q_i * g_i) + remainder  and
-    no remainder term divisible by a leading monomial of the basis.  The
-    reducer is chosen deterministically (first match in basis order).
+    No remainder term is divisible by a leading monomial of the basis, and
+    f minus the remainder lies in the ideal the basis generates.  The reducer
+    is chosen deterministically (first match in basis order).
     """
     basis = _check_family([f] + list(basis))[1:]
     if not basis:
         raise StructureError("empty reduction basis")
-    leads = [g.leading() for g in basis]
-    work = f
-    remainder = Polynomial.zero(f.field, f.variables)
-    quotients = [Polynomial.zero(f.field, f.variables) for _ in basis]
     p = f.field.p
-    while not work.is_zero():
-        mon, coeff = work.leading()
-        for i, lead in enumerate(leads):
-            if lead is not None and mon_divides(lead[0], mon):
-                factor_c = (coeff * f.field.inv(lead[1])) % p
-                factor_m = mon_div(mon, lead[0])
-                quotients[i] += Polynomial(f.field, f.variables, {factor_m: factor_c})
-                work -= basis[i].term_mul(factor_c, factor_m)
+    reducers = [(g.leading(), g.terms) for g in basis if not g.is_zero()]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        mon = max(work, key=degrevlex)
+        for (lead, lead_c), terms in reducers:
+            if mon_divides(lead, mon):
+                factor = work[mon] * f.field.inv(lead_c) % p
+                shift = mon_div(mon, lead)
+                for m, c in terms.items():
+                    t = mon_mul(m, shift)
+                    work[t] = (work.get(t, 0) - factor * c) % p
+                    if not work[t]:
+                        del work[t]
                 break
         else:
-            t = Polynomial(f.field, f.variables, {mon: coeff})
-            remainder += t
-            work -= t
-    return remainder, quotients
-
-
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f on division by the basis."""
-    return reduce(f, basis)[0]
+            remainder[mon] = work.pop(mon)
+    return Polynomial(f.field, f.variables, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -332,25 +334,19 @@ def buchberger(gens):
 
 
 def _interreduce(basis):
-    """Minimalize and autoreduce a Groebner basis; result is the reduced basis."""
+    """Minimalize and autoreduce a Groebner basis; result is the reduced basis.
+
+    One pass suffices: reducing an element of a minimal basis keeps its
+    leading monomial, and being reduced depends only on those monomials."""
     by_lead = sorted(basis, key=lambda g: degrevlex(g.leading()[0]))
     minimal = []
     for g in by_lead:
         lm = g.leading()[0]
         if not any(mon_divides(h.leading()[0], lm) for h in minimal):
             minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            if not others:
-                continue
-            rem = normal_form(minimal[i], others).monic()
-            if rem != minimal[i]:
-                minimal[i] = rem
-                changed = True
-    return sorted(minimal, key=lambda g: degrevlex(g.leading()[0]))
+    if len(minimal) > 1:
+        minimal = [normal_form(g, minimal[:i] + minimal[i + 1 :]).monic() for i, g in enumerate(minimal)]
+    return minimal
 
 
 def is_groebner(basis) -> bool:
@@ -367,8 +363,10 @@ def standard_monomials(basis):
     """Monomials divisible by no leading monomial of a zero-dimensional Groebner basis.
 
     These form an F_p-basis of the quotient by the ideal.  Raises if the
-    input fails the S-polynomial check or if some variable has no pure power
-    among the leading monomials (the quotient is then infinite-dimensional).
+    input fails the S-polynomial check, if some variable has no pure power
+    among the leading monomials (the quotient is then infinite-dimensional),
+    or if the box below those pure powers holds more than STANDARD_BOX_CAP
+    monomials.
     """
     basis = [g for g in _check_family(basis) if not g.is_zero()] if basis else []
     if not basis:
@@ -388,6 +386,9 @@ def standard_monomials(basis):
                 "among the leading monomials"
             )
         bounds.append(min(pure))
+    box = math.prod(bounds)
+    if box > STANDARD_BOX_CAP:
+        raise StructureError(f"{box} candidate standard monomials exceed the cap of {STANDARD_BOX_CAP}")
     mons = []
     for exps in itertools.product(*(range(b) for b in bounds)):
         if not any(mon_divides(lm, exps) for lm in leads):

@@ -176,6 +176,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ('{"kind":"artinian","field":2,"vars":["x"],"relations":["x^^2"]}', "PolynomialSyntaxError"),
         ('{"kind":"artinian","field":2,"vars":["x"],"relations":[]}', "NotZeroDimensionalError"),
         ('{"kind":"artinian","field":2,"vars":["x"],"relations":["x^2+x"]}', "NotLocalError"),
+        ('{"kind":"artinian","field":2,"vars":["x"],"relations":["x^100000000000"]}', "StructureError"),
     ],
 )
 def test_ring_construction_errors_carry_the_engine_class(capsys, document, engine_error):
@@ -183,6 +184,29 @@ def test_ring_construction_errors_carry_the_engine_class(capsys, document, engin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error[{engine_error}]: ")
+
+
+@pytest.mark.parametrize("template", ["x^{}", "{}*x"])
+def test_integers_past_the_digit_limit_exit_two(capsys, template):
+    # int() refuses more than 4300 digits; as an exponent or a coefficient,
+    # in a relation or in --ideal-gens, that is a syntax error
+    text = template.format("9" * 5000)
+    relation = json.dumps({"kind": "artinian", "field": 2, "vars": ["x"], "relations": [text]})
+    chain = '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^3"]}'
+    for argv in (["--spec", relation, "--op", "enumerate"], ["--spec", chain, "--op", "trace", "--ideal-gens", text]):
+        assert run(["artinian", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[PolynomialSyntaxError]: ")
+
+
+def test_huge_exponents_in_ideal_generators_are_quick(capsys):
+    # x^2 = y and y^3 = 0 make x nilpotent; its power comes by square-and-multiply
+    spec = '{"kind":"artinian","field":2,"vars":["x","y"],"relations":["x^2+y","y^3"]}'
+    start = time.monotonic()
+    assert run(["artinian", "--spec", spec, "--op", "trace", "--ideal-gens", "x^1000000000000000000"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_locality_is_certified_at_the_origin(capsys):

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -10,12 +12,13 @@ from tracelab.errors import (
     NotZeroDimensionalError,
     SearchBudgetExceededError,
     StructureError,
+    TraceLabError,
 )
-from tracelab import linalg
+from tracelab import finalg, linalg
 from tracelab.finalg import FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
 from tracelab.numsgp import semigroup_new
-from tracelab.polyfp import Polynomial, PrimeField, buchberger, normal_form, standard_monomials
-from tracelab.verify import build_artinian_catalog, catalog_product_algebra
+from tracelab.polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
+from tracelab.verify import ARTINIAN_CATALOG, build_artinian_catalog, catalog_product_algebra
 
 from test_apery import apery_algebra
 
@@ -155,22 +158,137 @@ def test_certificate_matches_the_triple_oracle_on_every_f2_table():
     assert associative == 64
 
 
-def _presented_algebra(p, variables, relations):
-    """F_p[variables]/(relations) on its standard monomials, with the degree-one
-    generators and no locality check; None for the zero ring."""
+def _oracle_table(p, variables, relations):
+    """The pairwise construction: (mons, table, coordinates), table[i][j] the
+    normal form of mons[i]*mons[j] and coordinates(poly) the normal form of
+    poly in the standard-monomial basis mons."""
     field = PrimeField(p)
     groebner = buchberger([Polynomial.parse(field, variables, r) for r in relations])
     mons = standard_monomials(groebner)
-    if not mons:
-        return None
 
-    def vector(m):
-        terms = normal_form(Polynomial(field, variables, {m: 1}), groebner).terms
+    def coordinates(poly):
+        terms = normal_form(poly, groebner).terms
         return tuple(terms.get(b, 0) for b in mons)
 
-    table = [[vector(tuple(a + b for a, b in zip(u, v))) for v in mons] for u in mons]
+    table = tuple(tuple(coordinates(Polynomial(field, variables, {mon_mul(u, v): 1})) for v in mons) for u in mons)
+    return mons, table, coordinates
+
+
+def _presented_algebra(p, variables, relations):
+    """F_p[variables]/(relations) on its standard monomials, with the degree-one
+    generators and no locality check; None for the zero ring."""
+    mons, table, _ = _oracle_table(p, variables, relations)
+    if not mons:
+        return None
     generators = [table[k] for k, m in enumerate(mons) if sum(m) == 1]
-    return FinAlgebra(field, [str(m) for m in mons], table, vector((0,) * len(variables)), generators=generators)
+    return FinAlgebra(PrimeField(p), [str(m) for m in mons], table, table[0][0], generators=generators)
+
+
+def _oracle_algebra(p, variables, relations):
+    """(mons, table, generators, coordinates) of the pairwise construction,
+    with the degree-one rows as generators, or the error it raises."""
+    mons, table, coordinates = _oracle_table(p, variables, relations)
+    if not mons:
+        raise NotLocalError("relations generate the unit ideal: the quotient is the zero ring")
+    generators = tuple(table[k] for k, m in enumerate(mons) if sum(m) == 1)
+    for g in generators:
+        power = table[0][0]
+        for _ in mons:
+            power = linalg.combine(power, g, p)
+        if any(power):
+            raise NotLocalError("a variable is not nilpotent: the non-constant monomials span no nilpotent ideal")
+    return mons, table, generators, coordinates
+
+
+def _seeded_mixed_presentation(rng):
+    """1-3 variables over F_2..F_7: a pure power of the first variable, of each
+    other one mostly, some with a linear tail (x^2 + x is not local), then
+    binomials, some with a constant term, and sometimes x + y, which leaves x
+    outside the standard monomials."""
+    p = rng.choice((2, 3, 5, 7))
+    variables = ("x", "y", "z")[: rng.randrange(1, 4)]
+
+    def monomial():
+        if rng.random() < 0.1:
+            return "1"
+        return "*".join(f"{v}^{rng.randrange(1, 3)}" for v in rng.sample(variables, rng.randrange(1, len(variables) + 1)))
+
+    relations = []
+    for v in variables:
+        if v == "x" or rng.random() < 0.85:
+            tail = f" + {rng.randrange(1, p)}*{rng.choice(variables)}" if rng.random() < 0.3 else ""
+            relations.append(f"{v}^{rng.randrange(2, 4)}{tail}")
+    for _ in range(rng.randrange(3)):
+        relations.append(f"{monomial()} + {rng.randrange(1, p)}*{monomial()}")
+    if len(variables) > 1 and rng.random() < 0.2:
+        relations.append("x + y")
+    return p, variables, relations
+
+
+def _seeded_texts(rng, p, variables):
+    """Three random polynomials with exponents up to 5, then a 1000th power, 0 and p+1."""
+    def term():
+        powers = [f"{v}^{rng.randrange(6)}" for v in variables if rng.random() < 0.6]
+        return "*".join([str(rng.randrange(p + 2)), *powers])
+
+    texts = [" + ".join(term() for _ in range(rng.randrange(1, 4))) for _ in range(3)]
+    return texts + [f"{variables[-1]}^1000", "0", str(p + 1)]
+
+
+def test_presentation_matches_the_pairwise_oracle():
+    # the variables' matrices against the normal form of every product of two
+    # standard monomials: tables, generators, units, labels, maximal ideals,
+    # refusals (class and text) and element() against the normal form
+    rng = random.Random(1807)
+    cases = [(p, variables, relations) for _, p, variables, relations, _ in ARTINIAN_CATALOG if relations]
+    cases += [_seeded_mixed_presentation(rng) for _ in range(330)]
+    outcomes, refusals = collections.Counter(), collections.Counter()
+    for p, variables, relations in cases:
+        try:
+            mons, table, generators, coordinates = _oracle_algebra(p, variables, relations)
+        except TraceLabError as exc:
+            with pytest.raises(TraceLabError) as raised:
+                algebra_from_presentation(p, variables, relations)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc)), (p, relations)
+            refusals[type(exc).__name__, str(exc).partition(":")[0]] += 1
+            continue
+        algebra = algebra_from_presentation(p, variables, relations)
+        field = algebra.field
+        assert algebra.table == table, (p, relations)
+        assert algebra.generators == generators
+        assert algebra.unit == table[0][0]
+        assert algebra.basis_labels == tuple(Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons)
+        assert algebra.maximal_ideal == _oracle_maximal_ideal(algebra)
+        for text in _seeded_texts(rng, p, variables):
+            assert algebra.element(text) == coordinates(Polynomial.parse(field, variables, text)), (p, relations, text)
+        outcomes["built"] += 1
+        outcomes["non-standard variable"] += len(generators) < len(variables)
+    assert outcomes["built"] >= 150 and outcomes["non-standard variable"] >= 10, outcomes
+    # the zero ring, a variable that is not nilpotent, a missing pure power
+    assert len(refusals) == 3 and min(refusals.values()) >= 5, refusals
+
+
+def test_presentation_takes_one_normal_form_per_variable_and_basis_monomial(monkeypatch):
+    calls = []
+
+    def counted(f, basis):
+        calls.append(f)
+        return normal_form(f, basis)
+
+    monkeypatch.setattr(finalg, "normal_form", counted)
+    algebra = algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))
+    assert algebra.dim == 27
+    assert len(calls) <= 3 * 27
+
+
+def test_presentations_past_the_caps_are_refused_before_the_work():
+    start = time.monotonic()
+    with pytest.raises(StructureError, match="candidate standard monomials exceed the cap of 1048576"):
+        algebra_from_presentation(2, ("x",), ("x^100000000000",))
+    with pytest.raises(StructureError, match="dimension 129 exceeds the table cap 128"):
+        algebra_from_presentation(2, ("x",), ("x^129",))
+    assert time.monotonic() - start < 1.0
+    assert algebra_from_presentation(2, ("x", "y", "z"), ("x^4", "y^4", "z^4")).dim == 64
 
 
 def _oracle_maximal_ideal(algebra):

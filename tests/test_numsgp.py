@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -109,6 +110,24 @@ def test_ideal_from_gens_examples():
     assert ideal_from_gens(S34, (0,)) == semigroup_as_ideal(S34)
     e = ideal_from_gens(S34, (0, 1))
     assert e.sporadic == (0, 1) and e.conductor == 3  # everything except 2
+
+
+def test_offsets_past_the_conductor_are_dropped_before_shifting():
+    # 10**8 lies in 0 + <3,4>: the union is S, built without a 10**8-bit shift
+    tracemalloc.start()
+    try:
+        e = ideal_from_gens(S34, (0, 10**8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e == ideal_from_gens(S34, (0,))
+    assert peak < 1 << 20
+    # either side of the conductor, against the members of the two translates
+    for sgp in CATALOG + WIDER:
+        for z in range(sgp.conductor + 3):
+            bound = sgp.conductor + z + 1
+            members = {x for x in range(bound) if sgp.contains(x) or sgp.contains(x - z)}
+            assert set(ideal_from_gens(sgp, (0, z)).members_below(bound)) == members, (sgp, z)
 
 
 def test_shift_and_normalize():

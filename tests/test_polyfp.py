@@ -20,7 +20,6 @@ from tracelab.polyfp import (
     mon_lcm,
     mon_mul,
     normal_form,
-    reduce,
     standard_monomials,
 )
 
@@ -162,16 +161,15 @@ def _all_polys_f2_xy(max_terms=3):
         yield Polynomial(F2, XY, {m: 1 for m in chosen})
 
 
-def test_reduce_multiplier_accumulation():
+def test_normal_form_remainder_contract():
+    # the remainder is reduced, and f minus it lies in the ideal of the basis
     basis = [poly("x^2+y"), poly("y^2"), poly("x*y + x")]
+    groebner = buchberger(basis)
     for f in itertools.islice(_all_polys_f2_xy(), 40):
-        r, quotients = reduce(f, basis)
-        rebuilt = r
-        for q, g in zip(quotients, basis):
-            rebuilt += q * g
-        assert rebuilt == f
+        r = normal_form(f, basis)
         for mon in r.terms:
             assert not any(mon_divides(g.leading()[0], mon) for g in basis)
+        assert normal_form(f - r, groebner).is_zero()
 
 
 def test_normal_form_idempotent():
