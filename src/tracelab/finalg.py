@@ -23,7 +23,6 @@ from .errors import (
 from .polyfp import Polynomial, PrimeField, buchberger, mon_div, mon_mul, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
-TABLE_CAP_DIM = 128  # largest presented algebra whose d^3-entry table is built
 
 
 class IdealSubspace:
@@ -83,17 +82,32 @@ class HomBasis:
         return len(self.maps)
 
 
+def _square(rows, d, p, shape):
+    """rows as d tuples of length d with entries in [0, p), or StructureError(shape).
+
+    A row is reduced mod p only when an entry is out of range, so rows that
+    linalg built are kept as they are.
+    """
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise StructureError(shape)
+    return tuple(tuple(row) if 0 <= min(row) and max(row) < p else tuple(x % p for x in row) for row in rows)
+
+
 class FinAlgebra:
     """Finite-dimensional commutative F_p-algebra with a fixed basis.
 
     generators holds one action matrix per algebra generator (row m is g*e_m);
     the default is every table row (the basis).  The list is the algebra's
-    certificate: the constructor checks commutativity and the unit, then that
-    the generators applied to 1 span the algebra, then associativity through
-    the generators (see _validate).  Locality (a nilpotent generator list) is
-    certified by algebra_from_presentation; products of local algebras carry
-    their factor list instead of a maximal ideal.  Hom spaces, traces and
-    isomorphism tests need one of the two, for the radical.
+    certificate: after the shapes, the constructor checks that the table is
+    commutative, that the unit is the identity and that the generators
+    commute, then grows a basis from 1 under the generators, checking that
+    each new basis vector's multiplication matrix is its parent's times the
+    generator.  That holds exactly when the table is associative, each
+    generator is multiplication by its value at 1, and the generators
+    generate the algebra (see _validate).  Locality (a nilpotent generator
+    list) is certified by algebra_from_presentation; products of local
+    algebras carry their factor list instead of a maximal ideal.  Hom spaces,
+    traces and isomorphism tests need one of the two, for the radical.
     """
 
     __slots__ = (
@@ -114,52 +128,80 @@ class FinAlgebra:
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
         d, p = self.dim, field.p
-        self.table = tuple(
-            tuple(tuple(x % p for x in table[i][j]) for j in range(d)) for i in range(d)
-        )
+        shape = f"multiplication table is not {d} x {d} cells of length {d}"
+        if len(table) != d:
+            raise StructureError(shape)
+        self.table = tuple(_square(row, d, p, shape) for row in table)
+        if len(unit) != d:
+            raise StructureError(f"unit is not a vector of length {d}")
         self.unit = tuple(x % p for x in unit)
         self.label = label or f"F_{p}^{d}-algebra"
         self.maximal_ideal = None
         self.factors = tuple(factors) if factors else None
         self.generators = self.table if generators is None else tuple(
-            tuple(tuple(x % p for x in row) for row in g) for g in generators
+            _square(g, d, p, f"generator {k} is not a {d} x {d} matrix") for k, g in enumerate(generators)
         )
         self._presentation = None
         self._validate()
 
     def _validate(self):
-        """Check the table and the generator certificate.
+        """Check the table and the generator certificate: about n^2*d + 2*d^2
+        row operations for n generators.
 
-        After commutativity and the unit, the generators applied repeatedly
-        to 1 must span the algebra, and every generator g must satisfy
-        (g*e_m)*e_j == g*(e_m*e_j) for all m, j.  Given the first three, the
-        last is equivalent to associativity.  By linearity g(xy) = g(x)y for
-        all x, y, so with x = 1 the map g is multiplication by u = g(1), and
-        u(xy) = (ux)y.  The elements a with a(xy) = (ax)y for all x, y form a
-        subspace that holds 1 and is closed under each such u, since
-        (ua)(xy) = u(a(xy)) = u((ax)y) = (u(ax))y = ((ua)x)y.  By generation
-        it is the whole algebra.  A bare table keeps every row as a
-        generator, so it gets the check on all basis triples.
+        M_a denotes the multiplication matrix of a, whose row i is e_i*a.  The
+        table must be commutative, M_1 the identity, and the generators'
+        matrices must commute pairwise.  Then a basis is grown from 1 breadth
+        first: each v = g(w), for w in the basis and g a generator, that
+        enlarges the span joins it, and M_v must equal M_w*G.  The span must
+        reach the whole algebra.
+
+        These checks pass exactly when the table is associative, every g is
+        multiplication by g(1), and the generators applied repeatedly to 1
+        span the algebra.  Every g(w) is tried, so the span is closed under
+        the generators.  By induction M_b lies in the commutative matrix
+        algebra C that the generators span, for each basis vector b, hence by
+        linearity M_a does for every a.  The map c -> c(1) is injective on C,
+        since c(x) = c(M_x(1)) = M_x(c(1)).  M_ab and M_a*M_b lie in C and
+        both send 1 to ab, so they are equal: x(ab) = (xa)b, which is
+        associativity.  G and M_g(1) lie in C and both send 1 to g(1), so g is
+        multiplication by g(1).  Conversely, in an associative algebra
+        multiplication maps commute and M_g(w) = M_w*M_g(1).
         """
         d, p = self.dim, self.field.p
-        for i in range(d):
-            for j in range(i, d):
-                if self.table[i][j] != self.table[j][i]:
-                    raise StructureError("multiplication table is not commutative")
-        for i in range(d):
-            if self.mul_basis(i, self.unit) != self.basis_vector(i):
-                raise StructureError("unit does not act as the identity")
-        span = linalg.rref([self.unit], p)[0]
-        while len(span) < d:
-            grown = linalg.rref(span + tuple(linalg.combine(v, g, p) for v in span for g in self.generators), p)[0]
-            if len(grown) == len(span):
-                raise StructureError("generators do not generate the algebra")
-            span = grown
-        for g in self.generators:
-            for m in range(d):
-                for j in range(d):
-                    if self.mul_basis(j, g[m]) != linalg.combine(self.table[m][j], g, p):
-                        raise StructureError("multiplication table is not associative")
+        table, generators = self.table, self.generators
+        if tuple(zip(*table)) != table:
+            raise StructureError("multiplication table is not commutative")
+        identity = tuple(self.basis_vector(i) for i in range(d))
+        if tuple(self.action(self.unit)) != identity:
+            raise StructureError("unit does not act as the identity")
+        broken = "multiplication table is not associative, or a generator is not multiplication by its value at 1"
+        for k, g in enumerate(generators):
+            for h in generators[:k]:
+                if any(linalg.combine(gm, h, p) != linalg.combine(hm, g, p) for gm, hm in zip(g, h)):
+                    raise StructureError(broken)
+        echelon, pivots = [], []
+
+        def enlarges(v):
+            residual = linalg.reduce_vector(echelon, pivots, v, p)
+            c = next((i for i, x in enumerate(residual) if x), None)
+            if c is not None:
+                inv = pow(residual[c], p - 2, p)
+                echelon.append(tuple(x * inv % p for x in residual))
+                pivots.append(c)
+            return c is not None
+
+        # (w, M_w) for the basis vectors; the list grows while it is walked
+        basis = [(self.unit, identity)] if enlarges(self.unit) else []
+        for w, action in basis:
+            for g in generators:
+                v = linalg.combine(w, g, p)
+                if enlarges(v):
+                    product = tuple(linalg.combine(row, g, p) for row in action)
+                    if tuple(self.action(v)) != product:
+                        raise StructureError(broken)
+                    basis.append((v, product))
+        if len(basis) < d:
+            raise StructureError("generators do not generate the algebra")
 
     # -- elements ----------------------------------------------------------
 
@@ -173,7 +215,9 @@ class FinAlgebra:
         return linalg.combine(u, self.action(v), self.field.p)
 
     def action(self, v):
-        """The rows e_i * v: the matrix of multiplication by v."""
+        """The rows e_i * v: the matrix of multiplication by v, table row m when v = e_m."""
+        if v.count(0) == self.dim - 1 and 1 in v:
+            return self.table[v.index(1)]
         return [self.mul_basis(i, v) for i in range(self.dim)]
 
     def mul_basis(self, i, v):
@@ -526,10 +570,11 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
     """Quotient of F_p[variables] by the relations, certified local.
 
     The basis is the set of degrevlex standard monomials of a Groebner basis
-    of the relations.  Row m of a variable x's matrix is the normal form of
-    x*m; the monomials are graded, so table row m is x's matrix applied to
-    row m/x.  Raises NotZeroDimensionalError when the quotient is infinite
-    dimensional, StructureError past TABLE_CAP_DIM dimensions, and
+    of the relations.  Row m of a variable x's matrix is x*m, a basis vector
+    when x*m is standard and else the normal form of that border monomial;
+    the monomials are graded, so table row m is x's matrix applied to row
+    m/x.  Raises NotZeroDimensionalError when the quotient is infinite
+    dimensional, StructureError past the table cap of standard_monomials, and
     NotLocalError when a standard variable is not nilpotent.  Those variables
     generate the algebra, so they are nilpotent exactly when the span of the
     non-constant standard monomials is a proper nilpotent ideal, which is
@@ -559,18 +604,19 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
         if not mons:
             raise NotLocalError("relations generate the unit ideal: the quotient is the zero ring")
     d = len(mons)
-    if d > TABLE_CAP_DIM:
-        raise StructureError(f"dimension {d} exceeds the table cap {TABLE_CAP_DIM}")
     index = {m: k for k, m in enumerate(mons)}
+    identity = [tuple(int(j == k) for j in range(d)) for k in range(d)]
 
     def vector(mon):
+        if mon in index:
+            return identity[index[mon]]
         terms = normal_form(Polynomial(field, variables, {mon: 1}), groebner).terms
         return tuple(terms.get(m, 0) for m in mons)
 
     steps = [tuple(int(i == v) for i in range(len(variables))) for v in range(len(variables))]
     matrices = [[vector(mon_mul(m, step)) for m in mons] for step in steps]
     # mons[0] is the constant monomial, whose row is the identity
-    table = [[tuple(int(j == k) for j in range(d)) for k in range(d)]]
+    table = [identity]
     for m in mons[1:]:
         v = next(i for i, e in enumerate(m) if e)
         below = table[index[mon_div(m, steps[v])]]

@@ -15,8 +15,6 @@ Whitespace is ignored everywhere.
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 
 from .errors import (
@@ -27,7 +25,7 @@ from .errors import (
 
 Monomial = tuple  # exponent vectors, one non-negative int per variable
 
-STANDARD_BOX_CAP = 1 << 20  # most candidate monomials standard_monomials enumerates
+TABLE_CAP_DIM = 128  # most standard monomials, hence the largest quotient whose d^3-entry table is built
 
 
 # Miller-Rabin on the first twelve prime bases is exact below psi_12, the
@@ -360,13 +358,16 @@ def is_groebner(basis) -> bool:
 
 
 def standard_monomials(basis):
-    """Monomials divisible by no leading monomial of a zero-dimensional Groebner basis.
+    """Monomials divisible by no leading monomial of a zero-dimensional Groebner
+    basis, in display_key order.
 
-    These form an F_p-basis of the quotient by the ideal.  Raises if the
-    input fails the S-polynomial check, if some variable has no pure power
-    among the leading monomials (the quotient is then infinite-dimensional),
-    or if the box below those pure powers holds more than STANDARD_BOX_CAP
-    monomials.
+    These form an F_p-basis of the quotient by the ideal, and an order ideal:
+    every divisor of a standard monomial is standard.  So they grow degree by
+    degree, each candidate of degree k + 1 being x_v*m for a standard m of
+    degree k, and the walk visits at most n*d candidates.  Raises if the input
+    fails the S-polynomial check, if some variable has no pure power among the
+    leading monomials (the quotient is then infinite-dimensional), or as soon
+    as more than TABLE_CAP_DIM monomials are standard.
     """
     basis = [g for g in _check_family(basis) if not g.is_zero()] if basis else []
     if not basis:
@@ -377,20 +378,21 @@ def standard_monomials(basis):
     leads = [g.leading()[0] for g in basis]
     if any(mon_degree(lm) == 0 for lm in leads):
         return []  # unit ideal, zero quotient
-    bounds = []
     for i in range(nvars):
-        pure = [lm[i] for lm in leads if lm[i] > 0 and mon_degree(lm) == lm[i]]
-        if not pure:
+        if not any(lm[i] == mon_degree(lm) for lm in leads):
             raise NotZeroDimensionalError(
                 f"not zero-dimensional: no pure power of {basis[0].variables[i]} "
                 "among the leading monomials"
             )
-        bounds.append(min(pure))
-    box = math.prod(bounds)
-    if box > STANDARD_BOX_CAP:
-        raise StructureError(f"{box} candidate standard monomials exceed the cap of {STANDARD_BOX_CAP}")
-    mons = []
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(mon_divides(lm, exps) for lm in leads):
-            mons.append(tuple(exps))
-    return sorted(mons, key=display_key)
+    steps = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+    layer = [(0,) * nvars]
+    mons = list(layer)
+    while layer:
+        candidates = {mon_mul(m, step) for m in layer for step in steps}
+        layer = sorted(
+            (c for c in candidates if not any(mon_divides(lm, c) for lm in leads)), key=display_key
+        )
+        mons += layer
+        if len(mons) > TABLE_CAP_DIM:
+            raise StructureError(f"more than {TABLE_CAP_DIM} standard monomials: the quotient exceeds the table cap")
+    return mons

@@ -95,6 +95,28 @@ def test_bad_multiplication_tables_rejected(fat_point):
         FinAlgebra(B.field, B.basis_labels, B.table, B.unit, generators=[B.table[1]])
 
 
+def test_shapes_are_checked_before_anything_else(fat_point):
+    # a missing table row or a short generator raised a bare IndexError, and a
+    # cell that is too long was reported as a unit that does not act as the identity
+    B = fat_point
+    long_cell = [list(row) for row in B.table]
+    long_cell[1][1] += (0,)
+    short_rows = [row[:2] for row in B.table[1]]
+    cases = [
+        (B.table[:2], B.unit, None, "multiplication table is not 3 x 3 cells of length 3"),
+        (B.table[:2] + (B.table[2][:2],), B.unit, None, "multiplication table is not 3 x 3 cells of length 3"),
+        (long_cell, B.unit, None, "multiplication table is not 3 x 3 cells of length 3"),
+        (B.table, B.unit[:2], None, "unit is not a vector of length 3"),
+        (B.table, B.unit + (0,), None, "unit is not a vector of length 3"),
+        (B.table, B.unit, [B.table[1], B.table[2][:2]], "generator 1 is not a 3 x 3 matrix"),
+        (B.table, B.unit, [short_rows], "generator 0 is not a 3 x 3 matrix"),
+    ]
+    for table, unit, generators, message in cases:
+        with pytest.raises(StructureError) as raised:
+            FinAlgebra(B.field, B.basis_labels, table, unit, generators=generators)
+        assert str(raised.value) == message
+
+
 def test_hom_needs_a_locality_or_product_certificate(fat_point):
     # the minimal generators of an ideal come from rad*I, and a bare table has
     # no radical: local_factors() refuses it
@@ -126,36 +148,114 @@ def _oracle_associative(table, p):
     return True
 
 
-def _generates(matrix, unit, p):
-    """Brute force: 1 and its images under the action, closed under sums, reach every vector."""
+def _generates(matrices, unit, p):
+    """Brute force: 1 and its images under the matrices, closed under sums, reach every vector."""
     reached = {unit}
     while True:
-        images = {tuple(sum(v[m] * matrix[m][c] for m in range(len(v))) % p for c in range(len(v))) for v in reached}
+        images = {
+            tuple(sum(v[m] * g[m][c] for m in range(len(v))) % p for c in range(len(v))) for v in reached for g in matrices
+        }
         sums = {tuple((x + y) % p for x, y in zip(u, v)) for u in reached for v in reached}
         if images | sums <= reached:
             return len(reached) == p ** len(unit)
         reached |= images | sums
 
 
+def _is_multiplication_map(table, unit, g, p):
+    """g == M_g(1): row i of g is e_i*g(1)."""
+    value = linalg.combine(unit, g, p)
+    return tuple(g) == tuple(linalg.combine(value, row, p) for row in table)
+
+
+def _oracle_certificate(table, unit, generators, p):
+    """The certificate before the breadth-first walk: commutativity, the unit,
+    the span of the generators applied to 1 by one growing rref per degree,
+    then (g*e_m)*e_j == g*(e_m*e_j) for every generator g and all m, j, which
+    is n*d^2 products.  True when it accepts."""
+    d = len(table)
+    if any(table[i][j] != table[j][i] for i in range(d) for j in range(i, d)):
+        return False
+    if any(linalg.combine(unit, table[i], p) != tuple(int(j == i) for j in range(d)) for i in range(d)):
+        return False
+    span = linalg.rref([unit], p)[0]
+    while len(span) < d:
+        grown = linalg.rref(span + tuple(linalg.combine(v, g, p) for v in span for g in generators), p)[0]
+        if len(grown) == len(span):
+            return False
+        span = grown
+    return all(
+        linalg.combine(g[m], table[j], p) == linalg.combine(table[m][j], g, p)
+        for g in generators
+        for m in range(d)
+        for j in range(d)
+    )
+
+
+def _accepts(table, unit, generators, p):
+    try:
+        FinAlgebra(PrimeField(p), [str(i) for i in range(len(unit))], table, unit, generators=generators)
+    except StructureError:
+        return False
+    return True
+
+
+F2_ONE = (1, 0, 0)
+F2_VECTORS = list(itertools.product(range(2), repeat=3))
+# commutative F_2 tables of dim 3 with unit e_0; e_1^2, e_1*e_2 and e_2^2 are free
+F2_TABLES = [
+    ((F2_ONE, (0, 1, 0), (0, 0, 1)), ((0, 1, 0), e11, e12), ((0, 0, 1), e12, e22))
+    for e11, e12, e22 in itertools.product(F2_VECTORS, repeat=3)
+]
+F2_MATRICES = list(itertools.product(F2_VECTORS, repeat=3))
+
+
 def test_certificate_matches_the_triple_oracle_on_every_f2_table():
-    # commutative F_2 tables of dim 3 with unit e_0; e_1^2, e_1*e_2 and e_2^2 are free
-    f2 = PrimeField(2)
-    one, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    vectors = list(itertools.product(range(2), repeat=3))
     associative = 0
-    for e11, e12, e22 in itertools.product(vectors, repeat=3):
-        table = ((one, e1, e2), (e1, e11, e12), (e2, e12, e22))
+    for table in F2_TABLES:
         expected = _oracle_associative(table, 2)
         associative += expected
         for generators in (None, *([row] for row in table)):
-            wanted = expected and (generators is None or _generates(generators[0], one, 2))
-            try:
-                FinAlgebra(f2, ("1", "a", "b"), table, one, generators=generators)
-                accepted = True
-            except StructureError:
-                accepted = False
-            assert accepted == wanted, (table, generators)
+            wanted = expected and (generators is None or _generates(generators, F2_ONE, 2))
+            assert _accepts(table, F2_ONE, generators, 2) == wanted, (table, generators)
+            assert _oracle_certificate(table, F2_ONE, generators or table, 2) == wanted
     assert associative == 64
+
+
+def test_certificate_matches_the_oracles_on_arbitrary_generators():
+    # every 3 x 3 F_2 matrix as the one generator of each associative table,
+    # then seeded pairs on every table: the certificate accepts exactly when
+    # the table is associative, each g is M_g(1) and the generators generate,
+    # and so does the n*d^2 certificate it replaced
+    associative_tables = {table: _oracle_associative(table, 2) for table in F2_TABLES}
+    generated = {}  # generation does not depend on the table
+    outcomes = collections.Counter()
+
+    def check(table, generators):
+        associative = associative_tables[table]
+        key = tuple(generators)
+        if key not in generated:
+            generated[key] = _generates(generators, F2_ONE, 2)
+        wanted = associative and all(_is_multiplication_map(table, F2_ONE, g, 2) for g in generators) and generated[key]
+        assert _accepts(table, F2_ONE, generators, 2) == wanted, (table, generators)
+        assert _oracle_certificate(table, F2_ONE, generators, 2) == wanted, (table, generators)
+        commute = all(
+            [linalg.combine(row, h, 2) for row in g] == [linalg.combine(row, g, 2) for row in h]
+            for g, h in itertools.combinations(generators, 2)
+        )
+        if wanted:
+            outcomes["accepted"] += 1
+        elif not commute:
+            outcomes["generators do not commute"] += 1
+        elif associative and generated[key]:
+            outcomes["not a multiplication map"] += 1
+
+    for table in [table for table, associative in associative_tables.items() if associative]:
+        for g in F2_MATRICES:
+            check(table, [g])
+    rng = random.Random(1807)
+    for _ in range(3000):
+        check(rng.choice(F2_TABLES), rng.sample(F2_MATRICES, 2))
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 3, outcomes
 
 
 def _oracle_table(p, variables, relations):
@@ -275,20 +375,39 @@ def test_presentation_takes_one_normal_form_per_variable_and_basis_monomial(monk
         calls.append(f)
         return normal_form(f, basis)
 
+    combines = []
+
+    def counted_combine(coeffs, rows, p):
+        combines.append(p)
+        return combine(coeffs, rows, p)
+
+    combine = linalg.combine
     monkeypatch.setattr(finalg, "normal_form", counted)
+    monkeypatch.setattr(linalg, "combine", counted_combine)
     algebra = algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))
     assert algebra.dim == 27
-    assert len(calls) <= 3 * 27
+    # only the border is divided: the 27 products x*m with x^3 dividing them
+    assert len(calls) == 27
+    assert sorted(max(f.terms)[::-1] for f in calls) == sorted(
+        m for m in itertools.product(range(4), repeat=3) if max(m) == 3 and sum(e == 3 for e in m) == 1
+    )
+    # the breadth-first certificate and the table: 1,728 row combinations (5,427
+    # with the associativity loop and a span rref per degree)
+    assert len(combines) <= 2000
 
 
 def test_presentations_past_the_caps_are_refused_before_the_work():
     start = time.monotonic()
-    with pytest.raises(StructureError, match="candidate standard monomials exceed the cap of 1048576"):
+    with pytest.raises(StructureError, match="more than 128 standard monomials: the quotient exceeds the table cap"):
         algebra_from_presentation(2, ("x",), ("x^100000000000",))
-    with pytest.raises(StructureError, match="dimension 129 exceeds the table cap 128"):
+    with pytest.raises(StructureError, match="more than 128 standard monomials: the quotient exceeds the table cap"):
         algebra_from_presentation(2, ("x",), ("x^129",))
     assert time.monotonic() - start < 1.0
     assert algebra_from_presentation(2, ("x", "y", "z"), ("x^4", "y^4", "z^4")).dim == 64
+    # d = 96 below a box of 20^5 monomials: the staircase visits only n*d of them
+    variables = [f"x{i}" for i in range(1, 6)]
+    relations = [f"{v}^20" for v in variables] + [f"{u}*{v}" for u, v in itertools.combinations(variables, 2)]
+    assert algebra_from_presentation(2, variables, relations).dim == 96
 
 
 def _oracle_maximal_ideal(algebra):

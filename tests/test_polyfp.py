@@ -11,9 +11,11 @@ from tracelab.errors import NotZeroDimensionalError, PolynomialSyntaxError, Stru
 from tracelab.polyfp import (
     Polynomial,
     PRIME_LIMIT,
+    TABLE_CAP_DIM,
     PrimeField,
     buchberger,
     degrevlex,
+    display_key,
     is_groebner,
     mon_div,
     mon_divides,
@@ -262,6 +264,40 @@ def test_standard_monomials_unit_ideal_is_empty():
     assert standard_monomials(buchberger([poly("1")])) == []
 
 
+def _box_standard_monomials(basis):
+    """The box walk: every monomial below the least pure power of each variable
+    that no leading monomial divides, in display_key order, with no cap."""
+    leads = [g.leading()[0] for g in basis]
+    if any(sum(lm) == 0 for lm in leads):
+        return []
+    bounds = [min(lm[i] for lm in leads if lm[i] == sum(lm)) for i in range(len(leads[0]))]
+    box = itertools.product(*(range(b) for b in bounds))
+    return sorted((m for m in box if not any(mon_divides(lm, m) for lm in leads)), key=display_key)
+
+
+def test_staircase_matches_the_box_walk():
+    # the seeded binomial sets and, with exponents up to 9 in up to 4
+    # variables, quotients on both sides of the table cap
+    rng = random.Random("staircase")
+    sets = SEPARATING_SETS + list(_seeded_relation_sets(100))
+    for _ in range(100):
+        p, n = rng.choice((2, 3, 5)), rng.randrange(1, 5)
+        relations = [{tuple(rng.randrange(2, 10) if k == i else 0 for k in range(n)): 1} for i in range(n)]
+        relations.append({tuple(rng.randrange(3) for _ in range(n)): 1, tuple(rng.randrange(3) for _ in range(n)): 1})
+        sets.append((p, n, relations))
+    refused = 0
+    for p, n, relations in sets:
+        gb = buchberger([Polynomial(PrimeField(p), ("x", "y", "z", "w")[:n], r) for r in relations])
+        expected = _box_standard_monomials(gb)
+        if len(expected) > TABLE_CAP_DIM:
+            with pytest.raises(StructureError, match="more than 128 standard monomials"):
+                standard_monomials(gb)
+            refused += 1
+        else:
+            assert standard_monomials(gb) == expected, (p, relations)
+    assert 10 <= refused <= 90, refused
+
+
 # --- monomial order laws ----------------------------------------------------------
 
 mon_strategy = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -344,7 +380,7 @@ def test_buchberger_and_standard_monomials_match_sympy():
         # the pure powers x_i^a_i bound the standard monomials
         box = itertools.product(*(range(max(relations[i])[i]) for i in range(n)))
         standard = {m for m in box if not any(mon_divides(lead, m) for lead in leads)}
-        assert set(standard_monomials(gb)) == standard, (p, relations)
+        assert set(standard_monomials(gb)) == standard == set(_box_standard_monomials(gb)), (p, relations)
         unit_ideals += not standard
         for order in other_orders:
             other_orders[order] += set(sympy_basis(order).exprs) != set(reference.exprs)
