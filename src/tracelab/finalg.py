@@ -20,7 +20,7 @@ from .errors import (
     SearchBudgetExceededError,
     StructureError,
 )
-from .polyfp import Polynomial, PrimeField, buchberger, mon_div, mon_mul, normal_form, standard_monomials
+from .polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
 
@@ -93,21 +93,26 @@ def _square(rows, d, p, shape):
     return tuple(tuple(row) if 0 <= min(row) and max(row) < p else tuple(x % p for x in row) for row in rows)
 
 
+def _is_basis_vector(v):
+    return v.count(0) == len(v) - 1 and 1 in v
+
+
 class FinAlgebra:
     """Finite-dimensional commutative F_p-algebra with a fixed basis.
 
     generators holds one action matrix per algebra generator (row m is g*e_m);
     the default is every table row (the basis).  The list is the algebra's
-    certificate: after the shapes, the constructor checks that the table is
-    commutative, that the unit is the identity and that the generators
-    commute, then grows a basis from 1 under the generators, checking that
-    each new basis vector's multiplication matrix is its parent's times the
-    generator.  That holds exactly when the table is associative, each
-    generator is multiplication by its value at 1, and the generators
-    generate the algebra (see _validate).  Locality (a nilpotent generator
-    list) is certified by algebra_from_presentation; products of local
-    algebras carry their factor list instead of a maximal ideal.  Hom spaces,
-    traces and isomorphism tests need one of the two, for the radical.
+    certificate, and it builds the table: the constructor checks that the
+    generators commute, then grows a basis from 1 under them, the matrix of
+    each new basis vector being its parent's times the generator, and reads
+    the table off those matrices (see _validate).  A table passed in must be
+    commutative, have the unit as identity and equal the derived table; that
+    holds exactly when it is associative, each generator is multiplication by
+    its value at 1, and the generators generate the algebra.  Pass table=None
+    to take the derived table.  Locality (a nilpotent generator list) is
+    certified by algebra_from_presentation; products of local algebras carry
+    their factor list instead of a maximal ideal.  Hom spaces, traces and
+    isomorphism tests need one of the two, for the radical.
     """
 
     __slots__ = (
@@ -129,9 +134,9 @@ class FinAlgebra:
         self.dim = len(self.basis_labels)
         d, p = self.dim, field.p
         shape = f"multiplication table is not {d} x {d} cells of length {d}"
-        if len(table) != d:
+        if table is not None and len(table) != d:
             raise StructureError(shape)
-        self.table = tuple(_square(row, d, p, shape) for row in table)
+        self.table = None if table is None else tuple(_square(row, d, p, shape) for row in table)
         if len(unit) != d:
             raise StructureError(f"unit is not a vector of length {d}")
         self.unit = tuple(x % p for x in unit)
@@ -145,68 +150,75 @@ class FinAlgebra:
         self._validate()
 
     def _validate(self):
-        """Check the table and the generator certificate: about n^2*d + 2*d^2
-        row operations for n generators.
+        """Derive the table from the generators, and check a table passed in
+        against it: about n^2*d + 2*d^2 row operations for n generators.
 
-        M_a denotes the multiplication matrix of a, whose row i is e_i*a.  The
-        table must be commutative, M_1 the identity, and the generators'
-        matrices must commute pairwise.  Then a basis is grown from 1 breadth
-        first: each v = g(w), for w in the basis and g a generator, that
-        enlarges the span joins it, and M_v must equal M_w*G.  The span must
-        reach the whole algebra.
+        M_a denotes the multiplication matrix of a, whose row i is e_i*a.  A
+        table passed in must be commutative with M_1 the identity.  The
+        generators' matrices must commute pairwise.  Then a basis v_k is grown
+        from 1 breadth first: each v = g(w), for w in the basis and g a
+        generator, that enlarges the span joins it with M_v = M_w*G.  The span
+        must reach the whole algebra.  Table row m is M_v when v = e_m, and
+        else sum_k c_k*M_{v_k} for e_m = sum_k c_k*v_k, c row m of the
+        inverse of the matrix with rows v_k.
 
-        These checks pass exactly when the table is associative, every g is
-        multiplication by g(1), and the generators applied repeatedly to 1
-        span the algebra.  Every g(w) is tried, so the span is closed under
-        the generators.  By induction M_b lies in the commutative matrix
-        algebra C that the generators span, for each basis vector b, hence by
-        linearity M_a does for every a.  The map c -> c(1) is injective on C,
-        since c(x) = c(M_x(1)) = M_x(c(1)).  M_ab and M_a*M_b lie in C and
-        both send 1 to ab, so they are equal: x(ab) = (xa)b, which is
-        associativity.  G and M_g(1) lie in C and both send 1 to g(1), so g is
-        multiplication by g(1).  Conversely, in an associative algebra
-        multiplication maps commute and M_g(w) = M_w*M_g(1).
+        The derived table is commutative and associative with unit 1, and
+        each g is multiplication by g(1).  Let C be the commutative matrix
+        algebra the generators span and phi(c) = c(1) on C.  Each M_{v_k} lies
+        in C with phi(M_{v_k}) = v_k, so phi is onto and M_a := sum_k c_k *
+        M_{v_k} satisfies phi(M_a) = a for a = sum_k c_k*v_k.  phi is also
+        one-to-one, since c(x) = c(M_x(1)) = M_x(c(1)) for c in C.  So M_a is
+        the one matrix in C that sends 1 to a.  Define a*b = M_b(a).  Then
+        a*b = M_b(M_a(1)) = M_a(M_b(1)) = b*a.  M_c*M_b lies in C and sends 1
+        to b*c, so M_c*M_b = M_{b*c} and (a*b)*c = a*(b*c).  M_1 = identity,
+        and G = M_g(1), since both lie in C and send 1 to g(1).  Every g(w) is
+        tried, so the span is closed under the generators.  Conversely, for an
+        associative table whose generators are multiplication maps that
+        generate, the matrices commute and M_w*G is the true M_g(w), so the
+        derived table is that table: a table passed in is accepted exactly
+        when it is associative, each g is M_g(1), and the generators generate.
         """
         d, p = self.dim, self.field.p
-        table, generators = self.table, self.generators
-        if tuple(zip(*table)) != table:
-            raise StructureError("multiplication table is not commutative")
+        given, generators = self.table, self.generators
         identity = tuple(self.basis_vector(i) for i in range(d))
-        if tuple(self.action(self.unit)) != identity:
-            raise StructureError("unit does not act as the identity")
+        if given is not None:
+            if tuple(zip(*given)) != given:
+                raise StructureError("multiplication table is not commutative")
+            if tuple(self.action(self.unit)) != identity:
+                raise StructureError("unit does not act as the identity")
         broken = "multiplication table is not associative, or a generator is not multiplication by its value at 1"
         for k, g in enumerate(generators):
             for h in generators[:k]:
                 if any(linalg.combine(gm, h, p) != linalg.combine(hm, g, p) for gm, hm in zip(g, h)):
                     raise StructureError(broken)
         echelon, pivots = [], []
-
-        def enlarges(v):
-            residual = linalg.reduce_vector(echelon, pivots, v, p)
-            c = next((i for i, x in enumerate(residual) if x), None)
-            if c is not None:
-                inv = pow(residual[c], p - 2, p)
-                echelon.append(tuple(x * inv % p for x in residual))
-                pivots.append(c)
-            return c is not None
-
-        # (w, M_w) for the basis vectors; the list grows while it is walked
-        basis = [(self.unit, identity)] if enlarges(self.unit) else []
+        # (v, M_v) for the basis vectors; the list grows while it is walked
+        basis = [(self.unit, identity)] if linalg.extend(echelon, pivots, self.unit, p) else []
         for w, action in basis:
             for g in generators:
                 v = linalg.combine(w, g, p)
-                if enlarges(v):
-                    product = tuple(linalg.combine(row, g, p) for row in action)
-                    if tuple(self.action(v)) != product:
-                        raise StructureError(broken)
-                    basis.append((v, product))
+                if linalg.extend(echelon, pivots, v, p):
+                    basis.append((v, tuple(linalg.combine(row, g, p) for row in action)))
         if len(basis) < d:
             raise StructureError("generators do not generate the algebra")
+        rows = {v.index(1): action for v, action in basis if _is_basis_vector(v)}
+        if len(rows) < d:
+            # rref(v_k | e_k) has row m = (e_m | row m of the inverse)
+            inverse = linalg.rref([v + e for (v, _), e in zip(basis, identity)], p)[0]
+            flat = [tuple(itertools.chain.from_iterable(action)) for _, action in basis]
+            for m in range(d):
+                if m not in rows:
+                    entries = linalg.combine(inverse[m][d:], flat, p)
+                    rows[m] = tuple(entries[i * d : (i + 1) * d] for i in range(d))
+        table = tuple(rows[m] for m in range(d))
+        if given is not None and table != given:
+            raise StructureError(broken)
+        self.table = table
 
     # -- elements ----------------------------------------------------------
 
     def basis_vector(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+        return (0,) * i + (1,) + (0,) * (self.dim - i - 1)
 
     def zero_vector(self):
         return (0,) * self.dim
@@ -216,7 +228,7 @@ class FinAlgebra:
 
     def action(self, v):
         """The rows e_i * v: the matrix of multiplication by v, table row m when v = e_m."""
-        if v.count(0) == self.dim - 1 and 1 in v:
+        if _is_basis_vector(v):
             return self.table[v.index(1)]
         return [self.mul_basis(i, v) for i in range(self.dim)]
 
@@ -311,34 +323,56 @@ class FinAlgebra:
                     return False
         return True
 
-    def ideal_product(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
-        """Span of u*v, with u*v = sum_i u_i*(e_i*v) from one action matrix per row v."""
+    def _generating_rows(self, ideal: IdealSubspace):
+        """(v, action(v)) for the rref rows v of the ideal, in order, that the
+        rows kept before them do not generate, stopping once the kept rows
+        generate the whole ideal.
+
+        The span of the kept rows' actions is the ideal they generate; it
+        grows one echelon row at a time, and each row of the ideal is kept or
+        already lies in it, so the kept rows generate the ideal.
+        """
         p = self.field.p
-        rows = set()
-        for v in right.matrix:
-            action = self.action(v)
-            rows.update(linalg.combine(u, action, p) for u in left.matrix)
+        echelon, pivots, kept = [], [], []
+        for v in ideal.matrix:
+            if len(echelon) == ideal.dim:
+                break
+            if not linalg.in_rowspace(echelon, pivots, v, p):
+                action = self.action(v)
+                kept.append((v, action))
+                for row in action:
+                    linalg.extend(echelon, pivots, row, p)
+        return kept
+
+    def ideal_product(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
+        """Span of u*v, u a row of left and v a generating row of right: every
+        element of right is sum_j r_j*v_j, and u*(r_j*v_j) = (u*r_j)*v_j with
+        u*r_j in left."""
+        p = self.field.p
+        rows = {linalg.combine(u, action, p) for _, action in self._generating_rows(right) for u in left.matrix}
         return IdealSubspace(p, self.dim, rows)
 
     def annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
-        """{r : r * ideal = 0}, as the left kernel of the stacked action maps."""
-        stacked = [
-            tuple(itertools.chain.from_iterable(self.mul_basis(i, v) for v in ideal.matrix))
-            for i in range(self.dim)
-        ]
-        return IdealSubspace(self.field.p, self.dim, linalg.left_kernel(stacked, self.dim, self.field.p))
+        """{r : r * ideal = 0}."""
+        return self.colon_in_ring(self.zero_ideal(), ideal)
 
     def colon_in_ring(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
-        """{r : r * right is contained in left}."""
-        p = self.field.p
-        stacked = []
-        for i in range(self.dim):
-            residuals = [
-                linalg.reduce_vector(left.matrix, left.pivots, self.mul_basis(i, w), p)
-                for w in right.matrix
-            ]
-            stacked.append(tuple(itertools.chain.from_iterable(residuals)))
-        return IdealSubspace(p, self.dim, linalg.left_kernel(stacked, self.dim, p))
+        """{r : r * right is contained in left}, cut down from R one generating
+        row w of right at a time.
+
+        r*right lies in left exactly when each r*w does, since r*(a*w) =
+        a*(r*w) and left is an ideal.  r -> r*w reduced modulo left is linear,
+        so each step keeps the combinations of the basis so far whose images
+        cancel.
+        """
+        p, d = self.field.p, self.dim
+        kernel = [self.basis_vector(i) for i in range(d)]
+        for _, action in self._generating_rows(right):
+            images = [linalg.combine(r, action, p) for r in kernel]
+            if left.dim:
+                images = [linalg.reduce_vector(left.matrix, left.pivots, y, p) for y in images]
+            kernel = [linalg.combine(c, kernel, p) for c in linalg.right_kernel(list(zip(*images)), len(kernel), p)]
+        return IdealSubspace(p, d, kernel)
 
     # -- homomorphisms and traces -------------------------------------------
 
@@ -438,7 +472,9 @@ class FinAlgebra:
         with images y_j of the minimal generators of left has
         f(left) + rad*right = F + rad*right, F the span of the y_j, so by
         Nakayama f is onto, hence bijective, exactly when the y_j span
-        right/rad*right: a k x k test per candidate.
+        right/rad*right: a k x k test per candidate.  Isomorphic modules have
+        equal annihilators, so unequal ones answer False before the search,
+        after the budget check, which thus raises on the same inputs.
         """
         if left.dim != right.dim:
             return False
@@ -459,6 +495,8 @@ class FinAlgebra:
         top = [right.pivots[a] for a in rows]
         k, t = len(expressions[0]), right.dim
         if k != len(top):
+            return False
+        if self.annihilator(left) != self.annihilator(right):
             return False
 
         def residue(coords):
@@ -572,9 +610,9 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
     The basis is the set of degrevlex standard monomials of a Groebner basis
     of the relations.  Row m of a variable x's matrix is x*m, a basis vector
     when x*m is standard and else the normal form of that border monomial;
-    the monomials are graded, so table row m is x's matrix applied to row
-    m/x.  Raises NotZeroDimensionalError when the quotient is infinite
-    dimensional, StructureError past the table cap of standard_monomials, and
+    FinAlgebra builds the table from the standard variables' matrices.
+    Raises NotZeroDimensionalError when the quotient is infinite dimensional,
+    StructureError past the table cap of standard_monomials, and
     NotLocalError when a standard variable is not nilpotent.  Those variables
     generate the algebra, so they are nilpotent exactly when the span of the
     non-constant standard monomials is a proper nilpotent ideal, which is
@@ -615,18 +653,12 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
 
     steps = [tuple(int(i == v) for i in range(len(variables))) for v in range(len(variables))]
     matrices = [[vector(mon_mul(m, step)) for m in mons] for step in steps]
-    # mons[0] is the constant monomial, whose row is the identity
-    table = [identity]
-    for m in mons[1:]:
-        v = next(i for i, e in enumerate(m) if e)
-        below = table[index[mon_div(m, steps[v])]]
-        table.append([linalg.combine(row, matrices[v], p) for row in below])
 
     labels = [Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons]
     # the standard variables generate the algebra: each non-constant standard
-    # monomial is one of them times a standard monomial
+    # monomial is one of them times a standard monomial; mons[0] is 1
     generators = [matrices[v] for v, step in enumerate(steps) if step in index]
-    algebra = FinAlgebra(field, labels, table, table[0][0], label=label, generators=generators)
+    algebra = FinAlgebra(field, labels, None, identity[0], label=label, generators=generators)
     algebra._presentation = (variables, [matrix[0] for matrix in matrices])
 
     for g in algebra.generators:
@@ -661,22 +693,19 @@ def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
     labels = []
     for k, f in enumerate(factors):
         labels.extend(f"{lab}@{k}" for lab in f.basis_labels)
-    table = []
-    unit = [0] * d
+    unit = []
     generators = []
     off = 0
     for f in factors:
-        table.extend(_in_block(row, off, d) for row in f.table)
         # each factor's generators, and its idempotent, whose action is the identity block
         identity = [f.basis_vector(m) for m in range(f.dim)]
         generators.extend(_in_block(g, off, d) for g in (*f.generators, identity))
-        for k, x in enumerate(f.unit):
-            unit[off + k] = x
+        unit.extend(f.unit)
         off += f.dim
     return FinAlgebra(
         left.field,
         labels,
-        table,
+        None,
         unit,
         label=f"{left.label} x {right.label}",
         factors=factors,

@@ -48,6 +48,25 @@ def reduce_vector(matrix, pivots, vec, p):
     return tuple(x % p for x in res)
 
 
+def extend(echelon, pivots, vec, p):
+    """Append vec's residual, scaled to a leading 1, to an echelon basis and its
+    pivots (lists) when it is nonzero; True when the span grew.
+
+    Each appended row is zero at the earlier pivots, so reduce_vector, which
+    eliminates the rows in order, still reduces against the grown basis.
+    """
+    if not any(vec):
+        return False
+    residual = reduce_vector(echelon, pivots, vec, p)
+    c = next((i for i, x in enumerate(residual) if x), None)
+    if c is None:
+        return False
+    inv = pow(residual[c], p - 2, p)
+    echelon.append(tuple(x * inv % p for x in residual))
+    pivots.append(c)
+    return True
+
+
 def combine(coeffs, rows, p):
     """Sum of c * row over paired coefficients and rows, mod p.
 
@@ -106,14 +125,6 @@ def kernel_basis(rows, p):
     """
     mat = rref([row[::-1] for row in rows], p)[0]
     return tuple(row[::-1] for row in reversed(mat))
-
-
-def left_kernel(rows, nrows, p):
-    """Basis of {x : x @ rows = 0} for a matrix given as nrows row vectors."""
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for j in range(nrows)) for i in range(nrows))
-    transposed = [tuple(row[i] for row in rows) for i in range(len(rows[0]))]
-    return right_kernel(transposed, nrows, p)
 
 
 def rank(rows, p):

@@ -391,9 +391,83 @@ def test_presentation_takes_one_normal_form_per_variable_and_basis_monomial(monk
     assert sorted(max(f.terms)[::-1] for f in calls) == sorted(
         m for m in itertools.product(range(4), repeat=3) if max(m) == 3 and sum(e == 3 for e in m) == 1
     )
-    # the breadth-first certificate and the table: 1,728 row combinations (5,427
+    # the breadth-first walk builds the table: 1,026 row combinations (1,728
+    # when the table was built first and the walk compared against it, 5,427
     # with the associativity loop and a span rref per degree)
-    assert len(combines) <= 2000
+    assert len(combines) <= 1100
+
+
+def _seeded_change_of_basis_presentation(rng):
+    """Homogeneous local presentations whose certificate walk meets a vector
+    that is not a basis vector: x^2 plus two lower terms over F_2 or F_3,
+    whose normal form has two terms, or x^e + c*y^e with c not -1, whose
+    normal form is a multiple other than 1 of a basis vector."""
+    if rng.random() < 0.5:
+        p, variables = rng.choice((2, 3)), ("x", "y", "z")
+        lower = rng.sample(("x*y", "x*z", "y^2", "y*z", "z^2"), 2)
+        relations = [" + ".join(["x^2", *(f"{rng.randrange(1, p)}*{m}" for m in lower)])]
+    else:
+        p, variables = rng.choice((3, 5, 7)), ("x", "y")
+        e = rng.randrange(2, 4)
+        relations = [f"x^{e} + {rng.randrange(1, p - 1)}*y^{e}"]
+    return p, variables, relations + [f"{v}^{rng.randrange(2, 4)}" for v in variables[1:]]
+
+
+def _oracle_product_table(left, right):
+    """The block-diagonal table of product_algebra(left, right), row by row
+    from the factors' tables."""
+    factors = left.local_factors() + right.local_factors()
+    d = sum(f.dim for f in factors)
+    table, off = [], 0
+    for f in factors:
+        table.extend(tuple(finalg._in_block(row, off, d)) for row in f.table)
+        off += f.dim
+    return tuple(table)
+
+
+def _walk_solves(monkeypatch, algebra):
+    """The rrefs that FinAlgebra spends deriving the table from the algebra's
+    generators: the one solve through the inverse of the walk basis, or none
+    when every walk vector is a basis vector."""
+    solves = []
+    rref = linalg.rref
+
+    def counted(rows, p):
+        solves.append(len(rows))
+        return rref(rows, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", counted)
+        rebuilt = FinAlgebra(algebra.field, algebra.basis_labels, None, algebra.unit, generators=algebra.generators)
+    assert rebuilt.table == algebra.table
+    return len(solves)
+
+
+def test_derived_tables_match_the_oracles_through_a_change_of_basis(monkeypatch, binomial_algebras):
+    rng = random.Random(1807)
+    algebras, solved = [], collections.Counter()
+    for _ in range(60):
+        p, variables, relations = _seeded_change_of_basis_presentation(rng)
+        algebra = algebra_from_presentation(p, variables, relations)
+        assert algebra.table == _oracle_table(p, variables, relations)[1], (p, relations)
+        # a table passed in that equals the derived one is accepted
+        given = FinAlgebra(algebra.field, algebra.basis_labels, algebra.table, algebra.unit, generators=algebra.generators)
+        assert given.table == algebra.table
+        solved[p, _walk_solves(monkeypatch, algebra)] += 1
+        algebras.append(algebra)
+    # both kinds of relation, over every field, take the solve path
+    assert {p for p, solves in solved if solves == 1} == {2, 3, 5, 7} and max(n for _, n in solved) == 1, solved
+    # monomial relations never leave the basis vectors
+    assert _walk_solves(monkeypatch, algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))) == 0
+    # products: the unit is not a basis vector, nor is the second factor's idempotent
+    factors = algebras + binomial_algebras(seed=11, count=30)
+    pairs = [(a, b) for a, b in zip(factors, factors[1:]) if a.field.p == b.field.p]
+    pairs.append((pairs[0][0], product_algebra(*pairs[1])))
+    assert len(pairs) >= 20
+    for left, right in pairs:
+        product = product_algebra(left, right)
+        assert product.table == _oracle_product_table(left, right), product.label
+        assert _walk_solves(monkeypatch, product) == 1
 
 
 def test_presentations_past_the_caps_are_refused_before_the_work():
@@ -485,6 +559,86 @@ def test_ideal_product_examples(square_corner, fat_point):
     assert B.ideal_product(x_ideal, B.unit_ideal()) == x_ideal
     m = fat_point.maximal_ideal
     assert fat_point.ideal_product(m, m) == fat_point.zero_ideal()
+
+
+def _oracle_ideal_product(algebra, left, right):
+    """The per-row product: u*v for every row u of left and every row v of right."""
+    p = algebra.field.p
+    rows = {linalg.combine(u, algebra.action(v), p) for v in right.matrix for u in left.matrix}
+    return IdealSubspace(p, algebra.dim, rows)
+
+
+def _left_kernel(rows, p):
+    """Basis of {x : x @ rows = 0}, the right kernel of the transpose; every
+    vector when the rows are empty."""
+    return linalg.right_kernel(list(zip(*rows)), len(rows), p)
+
+
+def _oracle_annihilator(algebra, ideal):
+    """The left kernel of the action maps of every row of the ideal, stacked side by side."""
+    p, d = algebra.field.p, algebra.dim
+    stacked = [tuple(itertools.chain.from_iterable(algebra.mul_basis(i, v) for v in ideal.matrix)) for i in range(d)]
+    return IdealSubspace(p, d, _left_kernel(stacked, p))
+
+
+def _oracle_colon_in_ring(algebra, left, right):
+    """The left kernel of r -> r*w modulo left for every row w of right, stacked side by side."""
+    p, d = algebra.field.p, algebra.dim
+    stacked = [
+        tuple(
+            itertools.chain.from_iterable(
+                linalg.reduce_vector(left.matrix, left.pivots, algebra.mul_basis(i, w), p) for w in right.matrix
+            )
+        )
+        for i in range(d)
+    ]
+    return IdealSubspace(p, d, _left_kernel(stacked, p))
+
+
+def test_left_kernel_oracle():
+    rows = ((1, 0), (1, 0), (0, 1))
+    assert _left_kernel(rows, 2) == ((1, 1, 0),)
+    assert len(_left_kernel([(), (), ()], 2)) == 3
+
+
+def test_ideal_arithmetic_matches_the_per_row_oracles(binomial_algebras):
+    # ideal_product, annihilator and colon_in_ring run on a generating prefix
+    # of an ideal's rows; the oracles run on every row
+    algebras = binomial_algebras(seed=11, count=30)
+    products = [product_algebra(a, b) for a, b in zip(algebras, algebras[1:]) if a.field.p == b.field.p]
+    catalog = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    shorter = 0
+    for algebra in catalog + algebras + products + _apery_algebras():
+        ideals = algebra.enumerate_ideals()
+        for ideal in ideals:
+            kept = [v for v, _ in algebra._generating_rows(ideal)]
+            # each kept row lies outside the ideal the rows before it generate
+            assert all(not algebra.ideal_generate(kept[:j]).contains_vector(v) for j, v in enumerate(kept))
+            assert algebra.ideal_generate(kept) == ideal
+            shorter += len(kept) < ideal.dim - 1
+            assert algebra.annihilator(ideal) == _oracle_annihilator(algebra, ideal), algebra.label
+        for left, right in itertools.product(ideals, repeat=2):
+            assert algebra.ideal_product(left, right) == _oracle_ideal_product(algebra, left, right), algebra.label
+            assert algebra.colon_in_ring(left, right) == _oracle_colon_in_ring(algebra, left, right), algebra.label
+    # many ideals keep at most dim - 2 of their rows
+    assert len(products) >= 5 and shorter >= 200, shorter
+
+
+def test_ideal_operations_count_their_work(monkeypatch):
+    calls = collections.Counter()
+    for name in ("combine", "is_invertible"):
+        monkeypatch.setattr(linalg, name, lambda *args, f=getattr(linalg, name), name=name: calls.update([name]) or f(*args))
+    A = algebra_from_presentation(5, ("a", "b"), ("a^4", "b^5"))
+    calls.clear()
+    # two generating rows, a and b: 20 + 5 row combinations (380 from every row)
+    assert A.annihilator(A.maximal_ideal) == A.ideal_generate([A.element("a^3*b^4")])
+    assert calls["combine"] <= 60, calls
+    B = algebra_from_presentation(5, ("u", "v"), ("u^3", "v^3"))
+    u_ideal, v_ideal = B.ideal_generate([B.element("u")]), B.ideal_generate([B.element("v")])
+    calls.clear()
+    # ann((u)) = (u^2) and ann((v)) = (v^2) differ, so none of the 5^4 maps is tried
+    assert not B.is_isomorphic(u_ideal, v_ideal)
+    assert calls["is_invertible"] == 0, calls
 
 
 def _brute_annihilator(algebra, ideal):
@@ -846,11 +1000,16 @@ def _answer(is_isomorphic, *args):
 
 
 def test_isomorphism_matches_the_square_search_oracle(binomial_algebras):
+    # the oracle has no annihilator exit, so is_isomorphic must give its
+    # answers and raise its budget errors on the same pairs
     algebras = binomial_algebras(seed=11, count=40)
     products = [product_algebra(a, b) for a, b in zip(algebras, algebras[1:]) if a.field.p == b.field.p]
     catalog = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
-    pairs = nontrivial = 0
-    for algebra in catalog + algebras + products:
+    # every ideal inside (x,y,z) is a sum of copies of the residue field, so
+    # annihilators cannot separate them and the search decides
+    residue_sums = algebra_from_presentation(3, "xyz", ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2"))
+    pairs = nontrivial = separated = 0
+    for algebra in catalog + algebras + products + [residue_sums]:
         ideals = algebra.enumerate_ideals()
         for left, right in itertools.product(ideals, repeat=2):
             if left.dim != right.dim:
@@ -860,8 +1019,11 @@ def test_isomorphism_matches_the_square_search_oracle(binomial_algebras):
                 expected = _answer(_oracle_is_isomorphic, algebra, left, right, cap)
                 assert _answer(algebra.is_isomorphic, left, right, cap) == expected, (algebra.label, cap)
             nontrivial += expected is True and left != right
-    assert len(products) >= 5
-    assert pairs >= 1500 and nontrivial >= 500
+            if algebra.annihilator(left) != algebra.annihilator(right):
+                separated += 1
+                assert expected is False and algebra is not residue_sums
+    assert len(products) >= 5 and len(residue_sums.enumerate_ideals()) == 29
+    assert pairs >= 2000 and nontrivial >= 900 and separated >= 700, (pairs, nontrivial, separated)
 
 
 def test_isomorphism_budget(fat_point):

@@ -42,20 +42,6 @@ def test_right_kernel_annihilates():
                 assert sum(r * x for r, x in zip(row, vec)) % p == 0
 
 
-def test_left_kernel_annihilates():
-    rows = ((1, 0), (1, 0), (0, 1))
-    kernel = linalg.left_kernel(rows, 3, 2)
-    assert len(kernel) == 1
-    x = kernel[0]
-    for c in range(2):
-        assert sum(x[i] * rows[i][c] for i in range(3)) % 2 == 0
-
-
-def test_left_kernel_of_empty_matrix_is_everything():
-    kernel = linalg.left_kernel([(), (), ()], 3, 2)
-    assert len(kernel) == 3
-
-
 def test_rank_and_invertibility():
     assert linalg.rank(((1, 1), (1, 1)), 2) == 1
     assert linalg.is_invertible(((0, 1), (1, 0)), 2)
