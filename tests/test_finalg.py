@@ -595,12 +595,6 @@ def _oracle_colon_in_ring(algebra, left, right):
     return IdealSubspace(p, d, _left_kernel(stacked, p))
 
 
-def test_left_kernel_oracle():
-    rows = ((1, 0), (1, 0), (0, 1))
-    assert _left_kernel(rows, 2) == ((1, 1, 0),)
-    assert len(_left_kernel([(), (), ()], 2)) == 3
-
-
 def test_ideal_arithmetic_matches_the_per_row_oracles(binomial_algebras):
     # ideal_product, annihilator and colon_in_ring run on a generating prefix
     # of an ideal's rows; the oracles run on every row

@@ -42,6 +42,21 @@ def test_right_kernel_annihilates():
                 assert sum(r * x for r, x in zip(row, vec)) % p == 0
 
 
+def test_left_kernel_annihilates():
+    # The left kernel {x : x @ rows = 0} is the right kernel of the transpose.
+    rows = ((1, 0), (1, 0), (0, 1))
+    kernel = linalg.right_kernel(list(zip(*rows)), 3, 2)
+    assert len(kernel) == 1
+    x = kernel[0]
+    for c in range(2):
+        assert sum(x[i] * rows[i][c] for i in range(3)) % 2 == 0
+
+
+def test_left_kernel_of_empty_matrix_is_everything():
+    kernel = linalg.right_kernel(list(zip(*[(), (), ()])), 3, 2)
+    assert len(kernel) == 3
+
+
 def test_rank_and_invertibility():
     assert linalg.rank(((1, 1), (1, 1)), 2) == 1
     assert linalg.is_invertible(((0, 1), (1, 0)), 2)
