@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
-from . import numsgp
+from . import linalg, numsgp
 from .errors import EnumerationCapExceededError, SearchBudgetExceededError
-from .finalg import DEFAULT_HOM_CAP_EXPONENT, FinAlgebra, algebra_from_presentation, product_algebra
+from .finalg import DEFAULT_HOM_CAP_EXPONENT, FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
 from .numsgp import (
     NumericalSemigroup,
     canonical_ideal,
@@ -104,6 +105,42 @@ def _skip(name, anchor, reason):
     return CheckResult(name, "skipped", anchor, None, reason)
 
 
+def _first(witnesses):
+    """(ok, witness) of a check that fails on the first witness of a lazy
+    stream, so that its work stops there."""
+    for witness in witnesses:
+        return False, witness
+    return True, None
+
+
+def _suite(checks, enumerate_ideals, capped, groups):
+    """Append one suite's checks to the list checks.
+
+    groups(ideals) yields groups of (name, anchor, outcome) entries, and
+    outcome() gives (ok, witness); it may read the checks made before it.  A
+    SearchBudgetExceededError skips the entry's whole group with its reason.
+    When enumerate_ideals() exceeds its cap, the capped (name, anchor) pairs
+    are skipped with that reason instead.
+    """
+    try:
+        ideals = enumerate_ideals()
+    except EnumerationCapExceededError as exc:
+        checks.extend(_skip(name, anchor, str(exc)) for name, anchor in capped)
+        return
+    for group in groups(ideals):
+        start = len(checks)
+        try:
+            for name, anchor, outcome in group:
+                ok, witness = outcome()
+                checks.append(_check(name, ok, anchor, witness))
+        except SearchBudgetExceededError as exc:
+            checks[start:] = [_skip(name, anchor, str(exc)) for name, anchor, _ in group]
+
+
+_IDENTITY_SUITE = (("identity-suite", "engine-invariants"),)
+_ENDOMORPHISM_ANCHOR = "reflexive-self-trace-ideals-are-traces-of-their-endomorphism-rings"
+
+
 # ---------------------------------------------------------------------------
 # artinian suites
 # ---------------------------------------------------------------------------
@@ -114,6 +151,7 @@ _ARTINIAN_CONDITIONS = (
     ("every-principal-ideal-equals-its-trace", "principal-trace-fixed-ideals"),
     ("every-ideal-isomorphic-to-its-trace", "trace-isomorphism-for-all-ideals"),
     ("every-principal-ideal-isomorphic-to-its-trace", "principal-trace-isomorphism"),
+    ("five-way-equivalence", "depth-zero-trace-classification"),
 )
 
 
@@ -129,73 +167,46 @@ def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> Veri
 
     Evaluates, over every ideal: equality with its trace, isomorphism with its
     trace, the same two conditions for principal ideals only, and the socle
-    criterion; then asserts the five-way equivalence of those conditions.
+    criterion; then asserts the five-way equivalence of those conditions.  An
+    isomorphism search over its budget skips both isomorphism conditions and
+    the equivalence.
     """
     caps = caps or default_caps()
-    report = VerificationReport(ring=algebra.label, suite="lp", caps=caps)
-    try:
-        ideals = algebra.enumerate_ideals(caps["dim"])
-    except EnumerationCapExceededError as exc:
-        for name, anchor in _ARTINIAN_CONDITIONS:
-            report.checks.append(_skip(name, anchor, str(exc)))
-        report.checks.append(_skip("five-way-equivalence", "depth-zero-trace-classification", str(exc)))
-        report.verdict = "undecided"
-        return report
+    report = VerificationReport(ring=algebra.label, suite="lp", caps=caps, verdict="undecided")
 
-    traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
-    principal_traces = _principal_traces(algebra, traces)
-
-    gor = algebra.is_gorenstein()
-    gor_witness = None
-    if algebra.is_local:
+    def gorenstein():
+        gor = algebra.is_gorenstein()
+        if not algebra.is_local:
+            return gor, None
         socle = algebra.annihilator(algebra.maximal_ideal)
-        gor_witness = {"socle": algebra.format_ideal(socle), "socle_dimension": socle.dim}
+        return gor, {"socle": algebra.format_ideal(socle), "socle_dimension": socle.dim}
 
-    def first_failure(pairs):
-        for ideal, tr in pairs:
-            if ideal != tr:
-                return {"ideal": algebra.format_ideal(ideal), "trace": algebra.format_ideal(tr)}
-        return None
+    def witness(ideal, tr):
+        return {"ideal": algebra.format_ideal(ideal), "trace": algebra.format_ideal(tr)}
 
-    w2 = first_failure(traces)
-    w3 = first_failure((ideal, tr) for _, ideal, tr in principal_traces)
+    def unequal(pairs):
+        return lambda: _first(witness(ideal, tr) for ideal, tr in pairs if ideal != tr)
 
-    def first_non_isomorphic(pairs):
-        for ideal, tr in pairs:
-            if not algebra.is_isomorphic(ideal, tr, caps["hom"]):
-                return {"ideal": algebra.format_ideal(ideal), "trace": algebra.format_ideal(tr)}
-        return None
-
-    budget_reason = None
-    try:
-        w4 = first_non_isomorphic(traces)
-        w5 = first_non_isomorphic((ideal, tr) for _, ideal, tr in principal_traces)
-    except SearchBudgetExceededError as exc:
-        budget_reason = str(exc)
-        w4 = w5 = None
-
-    conditions = [gor, w2 is None, w3 is None, w4 is None, w5 is None]
-    witnesses = [gor_witness, w2, w3, w4, w5]
-    for (name, anchor), ok, witness in zip(_ARTINIAN_CONDITIONS, conditions, witnesses):
-        if budget_reason and name.endswith("isomorphic-to-its-trace"):
-            report.checks.append(_skip(name, anchor, budget_reason))
-        else:
-            report.checks.append(_check(name, ok, anchor, witness))
-    if budget_reason:
-        report.checks.append(
-            _skip("five-way-equivalence", "depth-zero-trace-classification", budget_reason)
+    def non_isomorphic(pairs):
+        return lambda: _first(
+            witness(ideal, tr) for ideal, tr in pairs if not algebra.is_isomorphic(ideal, tr, caps["hom"])
         )
-        report.verdict = "undecided"
-    else:
-        report.checks.append(
-            _check(
-                "five-way-equivalence",
-                len(set(conditions)) == 1,
-                "depth-zero-trace-classification",
-                {"conditions": conditions, "ideal_count": len(ideals)},
-            )
-        )
-        report.verdict = "holds" if conditions[3] else "fails"
+
+    def groups(ideals):
+        traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
+        principal = [(ideal, tr) for _, ideal, tr in _principal_traces(algebra, traces)]
+
+        def equivalence():
+            conditions = [c.status == "pass" for c in report.checks]
+            report.verdict = "holds" if conditions[3] else "fails"
+            return len(set(conditions)) == 1, {"conditions": conditions, "ideal_count": len(ideals)}
+
+        outcomes = (gorenstein, unequal(traces), unequal(principal))
+        outcomes += (non_isomorphic(traces), non_isomorphic(principal), equivalence)
+        entries = [(name, anchor, outcome) for (name, anchor), outcome in zip(_ARTINIAN_CONDITIONS, outcomes)]
+        return [[entry] for entry in entries[:3]] + [entries[3:]]
+
+    _suite(report.checks, lambda: algebra.enumerate_ideals(caps["dim"]), _ARTINIAN_CONDITIONS, groups)
     return report
 
 
@@ -212,136 +223,91 @@ def _isomorphism_classes(algebra, ideals, hom_cap):
     return classes
 
 
-def _artinian_identity_checks(algebra, caps):
-    checks = []
-    try:
-        ideals = algebra.enumerate_ideals(caps["dim"])
-    except EnumerationCapExceededError as exc:
-        return [_skip("identity-suite", "engine-invariants", str(exc))]
+def _annihilator_by_rows(algebra, ideal):
+    """{r : r*v = 0 for every rref row v of the ideal}: one kernel of the
+    stacked transposed multiplication matrices, an oracle for annihilator()
+    that does not cut R down generator by generator."""
+    p, d = algebra.field.p, algebra.dim
+    rows = [column for v in ideal.matrix for column in zip(*algebra.action(v))]
+    return IdealSubspace(p, d, linalg.right_kernel(rows, d, p))
 
+
+def _artinian_identities(algebra, hom_cap, ideals):
+    """The groups of the artinian identity suite."""
+    fmt = algebra.format_ideal
     traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
 
-    bad = next((i for i, t in traces if not i.is_subspace_of(t)), None)
-    checks.append(
-        _check(
-            "trace-containment",
-            bad is None,
-            "every-ideal-lies-in-its-trace",
-            None if bad is None else {"ideal": algebra.format_ideal(bad)},
-        )
-    )
+    def contained():
+        return _first({"ideal": fmt(i)} for i, t in traces if not i.is_subspace_of(t))
 
-    bad = next((i for i, t in traces if algebra.trace_ideal(t) != t), None)
-    checks.append(
-        _check(
-            "trace-idempotence",
-            bad is None,
-            "trace-of-a-trace-ideal-is-itself",
-            None if bad is None else {"ideal": algebra.format_ideal(bad)},
-        )
-    )
+    def idempotent():
+        return _first({"ideal": fmt(i)} for i, t in traces if algebra.trace_ideal(t) != t)
 
-    # Both sides depend only on the ideal (v), so the first element of the
-    # all_elements order that fails is the least generator of its ideal.
-    mismatch = None
-    for v, _, via_hom in _principal_traces(algebra, traces):
-        via_ann = algebra.trace_principal_via_ann(v)
-        if via_hom != via_ann:
-            mismatch = {
-                "element": algebra.format_element(v),
-                "trace": algebra.format_ideal(via_hom),
-                "double_annihilator": algebra.format_ideal(via_ann),
-            }
-            break
-    checks.append(
-        _check(
-            "principal-trace-equals-double-annihilator",
-            mismatch is None,
-            "principal-trace-is-the-double-annihilator",
-            mismatch,
-        )
-    )
+    def double_annihilator():
+        # Both sides depend only on the ideal (v), so the first element of the
+        # all_elements order that fails is the least generator of its ideal.
+        for v, _, via_hom in _principal_traces(algebra, traces):
+            via_ann = algebra.trace_principal_via_ann(v)
+            if via_hom != via_ann:
+                element = algebra.format_element(v)
+                yield {"element": element, "trace": fmt(via_hom), "double_annihilator": fmt(via_ann)}
 
-    zero, unit = algebra.zero_ideal(), algebra.unit_ideal()
-    bad = next(
+    yield [("trace-containment", "every-ideal-lies-in-its-trace", contained)]
+    yield [("trace-idempotence", "trace-of-a-trace-ideal-is-itself", idempotent)]
+    yield [
         (
-            j
-            for j in ideals
-            if algebra.colon_in_ring(zero, j) != algebra.annihilator(j)
-            or algebra.colon_in_ring(j, unit) != j
-        ),
-        None,
-    )
-    checks.append(
-        _check(
-            "colon-annihilator-agreement",
-            bad is None,
-            "colon-definitional-cross-checks",
-            None if bad is None else {"ideal": algebra.format_ideal(bad)},
+            "principal-trace-equals-double-annihilator",
+            "principal-trace-is-the-double-annihilator",
+            lambda: _first(double_annihilator()),
         )
-    )
+    ]
 
-    try:
-        classes = _isomorphism_classes(algebra, ideals, caps["hom"])
+    unit = algebra.unit_ideal()
+
+    def colon():
+        return _first(
+            {"ideal": fmt(j)}
+            for j in ideals
+            if algebra.annihilator(j) != _annihilator_by_rows(algebra, j) or algebra.colon_in_ring(j, unit) != j
+        )
+
+    yield [("colon-annihilator-agreement", "colon-definitional-cross-checks", colon)]
+
+    classes = []  # filled by same_trace, which runs first in its group
+
+    def same_trace():
+        classes.extend(_isomorphism_classes(algebra, ideals, hom_cap))
         trace_of = dict(traces)
-        trace_bad = None
-        hom_bad = None
-        for cls in classes:
-            if len(cls) < 2:
-                continue
-            for other in cls[1:]:
-                if trace_of[other] != trace_of[cls[0]]:
-                    trace_bad = {
-                        "ideal": algebra.format_ideal(cls[0]),
-                        "isomorphic_ideal": algebra.format_ideal(other),
-                    }
-                    break
-            for j in ideals:
-                if algebra.hom_module(cls[0], j).dim != algebra.hom_module(cls[1], j).dim:
-                    hom_bad = {
-                        "ideal": algebra.format_ideal(cls[0]),
-                        "isomorphic_ideal": algebra.format_ideal(cls[1]),
-                        "target": algebra.format_ideal(j),
-                    }
-                    break
-        checks.append(
-            _check(
-                "trace-isomorphism-invariance",
-                trace_bad is None,
-                "isomorphic-modules-share-a-trace",
-                trace_bad,
-            )
+        return _first(
+            {"ideal": fmt(cls[0]), "isomorphic_ideal": fmt(other)}
+            for cls in classes
+            for other in cls[1:]
+            if trace_of[other] != trace_of[cls[0]]
         )
-        checks.append(
-            _check(
-                "hom-dimension-isomorphism-invariance",
-                hom_bad is None,
-                "hom-spaces-see-only-the-isomorphism-class",
-                hom_bad,
-            )
+
+    def same_hom_dimension():
+        return _first(
+            {"ideal": fmt(cls[0]), "isomorphic_ideal": fmt(cls[1]), "target": fmt(j)}
+            for cls in classes
+            if len(cls) > 1
+            for j in ideals
+            if algebra.hom_module(cls[0], j).dim != algebra.hom_module(cls[1], j).dim
         )
-    except SearchBudgetExceededError as exc:
-        checks.append(_skip("trace-isomorphism-invariance", "isomorphic-modules-share-a-trace", str(exc)))
-        checks.append(
-            _skip("hom-dimension-isomorphism-invariance", "hom-spaces-see-only-the-isomorphism-class", str(exc))
-        )
+
+    yield [
+        ("trace-isomorphism-invariance", "isomorphic-modules-share-a-trace", same_trace),
+        ("hom-dimension-isomorphism-invariance", "hom-spaces-see-only-the-isomorphism-class", same_hom_dimension),
+    ]
+
+    def product_of_traces(ideal):
+        parts = zip(algebra.local_factors(), algebra.factor_ideals(ideal))
+        return algebra.product_ideal([f.trace_ideal(i) for f, i in parts])
+
+    def factorization():
+        return _first({"ideal": fmt(ideal)} for ideal, tr in traces if tr != product_of_traces(ideal))
 
     if algebra.factors is not None:
-        bad = None
-        for ideal, tr in traces:
-            parts = zip(algebra.local_factors(), algebra.factor_ideals(ideal))
-            if tr != algebra.product_ideal([f.trace_ideal(i) for f, i in parts]):
-                bad = {"ideal": algebra.format_ideal(ideal)}
-                break
-        checks.append(
-            _check(
-                "product-trace-factorization",
-                bad is None,
-                "trace-of-a-product-is-the-product-of-traces",
-                bad,
-            )
-        )
-    return checks
+        yield [("product-trace-factorization", "trace-of-a-product-is-the-product-of-traces", factorization)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,213 +324,135 @@ def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) ->
     against the multiplicity-two classification.
     """
     caps = caps or default_caps()
-    report = VerificationReport(ring=sgp.label, suite="lp", caps=caps)
-    try:
-        ideals = enumerate_normalized_ideals(sgp, caps["gaps"])
-    except EnumerationCapExceededError as exc:
-        report.checks.append(_skip("trace-is-translate", "monomial-trace-isomorphism", str(exc)))
-        report.verdict = "undecided"
-        return report
+    report = VerificationReport(ring=sgp.label, suite="lp", caps=caps, verdict="undecided")
 
-    first_witness = None
-    all_pass = True
-    for ideal in ideals:
+    def translate(ideal):
         tr = trace(ideal)
-        witness = is_translate(ideal, tr)
-        ok = bool(witness)
-        payload = {"E": ideal.format(), "trace": tr.format(), "offset": witness.offset}
-        if not ok and first_witness is None:
-            first_witness = payload
-        all_pass &= ok
-        report.checks.append(
-            _check(f"trace-is-translate[{ideal.format()}]", ok, "monomial-trace-isomorphism", payload)
-        )
+        offset = is_translate(ideal, tr).offset
+        return offset is not None, {"E": ideal.format(), "trace": tr.format(), "offset": offset}
 
-    report.verdict = "monomial ideals pass" if all_pass else "counterexample found"
-    m = maximal_ideal(sgp)
-    m2_offset = is_translate(m, ideal_sum(m, m)).offset
-    report.checks.append(
-        _check(
-            "verdict-matches-multiplicity-classification",
-            all_pass == (sgp.multiplicity <= 2),
-            "dimension-one-multiplicity-two-classification",
-            {
-                "multiplicity": sgp.multiplicity,
-                "symmetric": is_symmetric(sgp),
-                "m2_translate_offset": m2_offset,
-                "verdict": report.verdict,
-                "counterexample": first_witness,
-            },
-        )
-    )
+    def classification():
+        counterexample = next((c.witness for c in report.checks if c.status == "fail"), None)
+        report.verdict = "counterexample found" if counterexample else "monomial ideals pass"
+        m = maximal_ideal(sgp)
+        m2_offset = is_translate(m, ideal_sum(m, m)).offset
+        witness = {
+            "multiplicity": sgp.multiplicity,
+            "symmetric": is_symmetric(sgp),
+            "m2_translate_offset": m2_offset,
+            "verdict": report.verdict,
+            "counterexample": counterexample,
+        }
+        return (not counterexample) == (sgp.multiplicity <= 2), witness
+
+    def groups(ideals):
+        for e in ideals:
+            yield [(f"trace-is-translate[{e.format()}]", "monomial-trace-isomorphism", partial(translate, e))]
+        anchor = "dimension-one-multiplicity-two-classification"
+        yield [("verdict-matches-multiplicity-classification", anchor, classification)]
+
+    capped = (("trace-is-translate", "monomial-trace-isomorphism"),)
+    _suite(report.checks, lambda: enumerate_normalized_ideals(sgp, caps["gaps"]), capped, groups)
     return report
 
 
-def _semigroup_identity_checks(sgp, caps):
-    checks = []
-    try:
-        ideals = enumerate_normalized_ideals(sgp, caps["gaps"])
-    except EnumerationCapExceededError as exc:
-        return [_skip("identity-suite", "engine-invariants", str(exc))]
-
+def _semigroup_identities(sgp, ideals):
+    """The groups of the semigroup identity suite."""
     s_ideal = semigroup_as_ideal(sgp)
     data = [(e, trace(e), dual(e)) for e in ideals]
 
-    bad = next((e for e, tr, _ in data if trace(tr) != tr), None)
-    checks.append(
-        _check(
-            "trace-idempotence",
-            bad is None,
-            "trace-of-a-trace-ideal-is-itself",
-            None if bad is None else {"E": bad.format()},
-        )
-    )
+    def idempotent():
+        return _first({"E": e.format()} for e, tr, _ in data if trace(tr) != tr)
 
-    bad = None
-    for e, tr, dl in data:
-        integral = e.shift(dl.min)
-        if not integral.is_subset_of(tr):
-            bad = {"E": e.format(), "trace": tr.format(), "offset": dl.min}
-            break
-        if dl.contains(0) and not e.is_subset_of(tr):
-            bad = {"E": e.format(), "trace": tr.format(), "offset": 0}
-            break
-    checks.append(_check("trace-containment", bad is None, "every-ideal-lies-in-its-trace", bad))
+    def uncontained():
+        for e, tr, dl in data:
+            if not e.shift(dl.min).is_subset_of(tr):
+                yield {"E": e.format(), "trace": tr.format(), "offset": dl.min}
+            elif dl.contains(0) and not e.is_subset_of(tr):
+                yield {"E": e.format(), "trace": tr.format(), "offset": 0}
 
-    bad = next(
-        (e for e, tr, dl in data if (tr == e) != (ideal_colon(e, e) == dl)),
-        None,
-    )
-    checks.append(
-        _check(
-            "self-trace-iff-self-colon-equals-dual",
-            bad is None,
-            "trace-fixed-iff-endomorphisms-equal-dual",
-            None if bad is None else {"E": bad.format()},
-        )
-    )
+    def self_colon():
+        return _first({"E": e.format()} for e, tr, dl in data if (tr == e) != (ideal_colon(e, e) == dl))
 
-    bad = next((e for e, _, dl in data if dual(dual(dl)) != dl), None)
-    checks.append(
-        _check(
-            "triple-dual-stability",
-            bad is None,
-            "duals-are-reflexive",
-            None if bad is None else {"E": bad.format()},
-        )
-    )
+    def triple_dual():
+        return _first({"E": e.format()} for e, _, dl in data if dual(dual(dl)) != dl)
 
-    bad = None
-    for e, tr, _ in data:
-        if is_reflexive(e) and tr == e:
-            endo = ideal_colon(e, e)
-            if trace(endo) != e:
-                bad = {"E": e.format(), "endomorphism_ideal": endo.format()}
-                break
-    checks.append(
-        _check(
-            "endomorphism-ring-trace-recovery",
-            bad is None,
-            "reflexive-self-trace-ideals-are-traces-of-their-endomorphism-rings",
-            bad,
-        )
-    )
+    def unrecovered():
+        for e, tr, _ in data:
+            if is_reflexive(e) and tr == e:
+                endo = ideal_colon(e, e)
+                if trace(endo) != e:
+                    yield {"E": e.format(), "endomorphism_ideal": endo.format()}
+
+    yield [("trace-idempotence", "trace-of-a-trace-ideal-is-itself", idempotent)]
+    yield [("trace-containment", "every-ideal-lies-in-its-trace", lambda: _first(uncontained()))]
+    yield [("self-trace-iff-self-colon-equals-dual", "trace-fixed-iff-endomorphisms-equal-dual", self_colon)]
+    yield [("triple-dual-stability", "duals-are-reflexive", triple_dual)]
+    yield [("endomorphism-ring-trace-recovery", _ENDOMORPHISM_ANCHOR, lambda: _first(unrecovered()))]
 
     m = maximal_ideal(sgp)
     m_trace = trace(m)
-    witness = {"I": m.format(), "trace_of_I": m_trace.format()}
-    ok = True
-    if is_reflexive(m) and m_trace == m:
+
+    def maximal_endomorphism():
+        witness = {"I": m.format(), "trace_of_I": m_trace.format()}
+        if not (is_reflexive(m) and m_trace == m):
+            return True, witness
         endo = ideal_colon(m, m)
         recovered = trace(endo)
-        witness.update(
-            {
-                "endomorphism_ideal": endo.format(),
-                "endomorphism_generators": list(numsgp.endo_semigroup(m.normalized()).generators),
-                "trace_of_endomorphism_ideal": recovered.format(),
-            }
-        )
-        ok = recovered == m
-    checks.append(
-        _check(
-            "maximal-ideal-endomorphism-trace",
-            ok,
-            "reflexive-self-trace-ideals-are-traces-of-their-endomorphism-rings",
-            witness,
-        )
-    )
+        witness["endomorphism_ideal"] = endo.format()
+        witness["endomorphism_generators"] = list(numsgp.endo_semigroup(m.normalized()).generators)
+        witness["trace_of_endomorphism_ideal"] = recovered.format()
+        return recovered == m, witness
 
-    bad = None
-    for e, tr, dl in data:
-        if is_translate(s_ideal, dl) and not is_translate(e, tr):
-            bad = {"E": e.format(), "dual": dl.format(), "trace": tr.format()}
-            break
-    checks.append(
-        _check(
-            "principal-dual-implies-trace-translate",
-            bad is None,
-            "free-dual-forces-trace-isomorphism",
-            bad,
+    def free_dual():
+        return _first(
+            {"E": e.format(), "dual": dl.format(), "trace": tr.format()}
+            for e, tr, dl in data
+            if is_translate(s_ideal, dl) and not is_translate(e, tr)
         )
-    )
+
+    yield [("maximal-ideal-endomorphism-trace", _ENDOMORPHISM_ANCHOR, maximal_endomorphism)]
+    yield [("principal-dual-implies-trace-translate", "free-dual-forces-trace-isomorphism", free_dual)]
 
     e_mult = sgp.multiplicity
     symmetric = is_symmetric(sgp)
-    m2 = ideal_sum(m, m)
-    square_translate = bool(is_translate(m, m2))
-    square_bound_ok = True
-    if e_mult <= 2 and not square_translate:
-        square_bound_ok = False
-    if symmetric and square_translate and e_mult > 2:
-        square_bound_ok = False
-    checks.append(
-        _check(
-            "multiplicity-two-square-isomorphism",
-            square_bound_ok,
-            "square-isomorphic-maximal-ideal-forces-multiplicity-two",
-            {
-                "multiplicity": e_mult,
-                "symmetric": symmetric,
-                "m2_translate": square_translate,
-            },
-        )
-    )
 
-    lengths = [filtration_length(sgp, n) for n in range(0, sgp.conductor + e_mult + 3)]
-    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-    ok = lengths[0] == 1 and len(diffs) >= 2 and diffs[-1] == e_mult and diffs[-2] == e_mult
-    checks.append(
-        _check(
-            "multiplicity-equals-filtration-growth",
-            ok,
-            "multiplicity-is-the-growth-rate-of-power-colengths",
-            {"lengths": lengths, "multiplicity": e_mult},
-        )
-    )
+    def square():
+        square_translate = bool(is_translate(m, ideal_sum(m, m)))
+        ok = square_translate if e_mult <= 2 else not (symmetric and square_translate)
+        return ok, {"multiplicity": e_mult, "symmetric": symmetric, "m2_translate": square_translate}
 
-    frob = sgp.frobenius
-    reflection = all(sgp.contains(z) != sgp.contains(frob - z) for z in range(0, frob + 1))
-    checks.append(
-        _check(
-            "symmetry-gap-reflection-agreement",
-            symmetric == reflection,
-            "canonical-translate-iff-gap-reflection",
-            {"symmetric": symmetric, "gap_reflection": reflection, "K": canonical_ideal(sgp).format()},
-        )
-    )
-    return checks
+    def growth():
+        lengths = [filtration_length(sgp, n) for n in range(0, sgp.conductor + e_mult + 3)]
+        diffs = [b - a for a, b in zip(lengths, lengths[1:])]
+        ok = lengths[0] == 1 and len(diffs) >= 2 and diffs[-1] == e_mult and diffs[-2] == e_mult
+        return ok, {"lengths": lengths, "multiplicity": e_mult}
+
+    def reflection():
+        frob = sgp.frobenius
+        reflects = all(sgp.contains(z) != sgp.contains(frob - z) for z in range(0, frob + 1))
+        witness = {"symmetric": symmetric, "gap_reflection": reflects, "K": canonical_ideal(sgp).format()}
+        return symmetric == reflects, witness
+
+    anchor = "square-isomorphic-maximal-ideal-forces-multiplicity-two"
+    yield [("multiplicity-two-square-isomorphism", anchor, square)]
+    yield [("multiplicity-equals-filtration-growth", "multiplicity-is-the-growth-rate-of-power-colengths", growth)]
+    yield [("symmetry-gap-reflection-agreement", "canonical-translate-iff-gap-reflection", reflection)]
 
 
 def run_identity_suite(target, caps: dict | None = None) -> VerificationReport:
     """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup."""
     caps = caps or default_caps()
     if isinstance(target, FinAlgebra):
-        checks = _artinian_identity_checks(target, caps)
+        ideals = partial(target.enumerate_ideals, caps["dim"])
+        groups = partial(_artinian_identities, target, caps["hom"])
     elif isinstance(target, NumericalSemigroup):
-        checks = _semigroup_identity_checks(target, caps)
+        ideals = partial(enumerate_normalized_ideals, target, caps["gaps"])
+        groups = partial(_semigroup_identities, target)
     else:
         raise TypeError(f"no identity suite for {type(target).__name__}")
-    report = VerificationReport(ring=target.label, suite="identities", checks=checks, caps=caps)
+    report = VerificationReport(ring=target.label, suite="identities", caps=caps)
+    _suite(report.checks, ideals, _IDENTITY_SUITE, groups)
     if report.has_failures:
         report.verdict = "identity violated"
     else:

@@ -1,6 +1,8 @@
 import json
+import re
+from pathlib import Path
 
-from tracelab.finalg import algebra_from_presentation, product_algebra
+from tracelab.finalg import FinAlgebra, HomBasis, algebra_from_presentation, product_algebra
 from tracelab.numsgp import (
     is_translate,
     parse_ideal_text,
@@ -151,6 +153,49 @@ def test_identity_suite_product_includes_factorization():
     assert any(c.name == "product-trace-factorization" for c in report.checks)
 
 
+def test_invariance_witnesses_name_the_first_failing_class(monkeypatch):
+    # Every line of F_2[x,y,z]/(x,y,z)^2 is one isomorphism class, and every
+    # plane another.  Alter trace and Hom on the second line and the second
+    # plane: the line class comes first, so it is the witness.
+    algebra = next(a for label, a, _ in build_artinian_catalog() if label == "F_2[x,y,z]/(x, y, z)^2")
+    ideals = algebra.enumerate_ideals()
+    altered = ([i for i in ideals if i.dim == 1][1], [i for i in ideals if i.dim == 2][1])
+    trace_ideal, hom_module = FinAlgebra.trace_ideal, FinAlgebra.hom_module
+
+    def altered_trace(self, ideal):
+        return self.unit_ideal() if self is algebra and ideal in altered else trace_ideal(self, ideal)
+
+    def altered_hom(self, domain, codomain):
+        hom = hom_module(self, domain, codomain)
+        return HomBasis(domain, codomain, hom.maps[1:]) if self is algebra and domain in altered else hom
+
+    monkeypatch.setattr(FinAlgebra, "trace_ideal", altered_trace)
+    monkeypatch.setattr(FinAlgebra, "hom_module", altered_hom)
+    witnesses = {c.name: c.witness for c in run_identity_suite(algebra).checks if c.status == "fail"}
+    assert witnesses["trace-isomorphism-invariance"] == {"ideal": "x", "isomorphic_ideal": "x + z"}
+    assert witnesses["hom-dimension-isomorphism-invariance"] == {
+        "ideal": "x",
+        "isomorphic_ideal": "x + z",
+        "target": "x",
+    }
+
+
+def test_colon_annihilator_agreement_sees_a_wrong_annihilator(monkeypatch, chain_algebra):
+    # annihilator(j) is the colon 0 : j, so a colon that returns R for every
+    # proper nonzero j must fail against the row-by-row annihilator.
+    colon_in_ring = FinAlgebra.colon_in_ring
+
+    def wrong_colon(self, left, right):
+        if left.dim == 0 and 0 < right.dim < self.dim:
+            return self.unit_ideal()
+        return colon_in_ring(self, left, right)
+
+    monkeypatch.setattr(FinAlgebra, "colon_in_ring", wrong_colon)
+    check = next(c for c in run_identity_suite(chain_algebra).checks if c.name == "colon-annihilator-agreement")
+    assert check.status == "fail"
+    assert check.witness == {"ideal": "x^2"}
+
+
 # --- principal ideals against the element sweep ------------------------------------
 
 def _oracle_principal_ideals(algebra):
@@ -292,3 +337,23 @@ def test_catalog_lp_only():
             "verdict-matches-expected",
             "verdict-matches-multiplicity-classification",
         }
+
+
+# --- the README's list of checks -------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_lists_every_check_with_its_anchor():
+    text = README.read_text()
+    section = text[text.index("## What the suites check") :]
+    section = section[: section.index("\n## ")]
+    listed = dict(re.findall(r"- `([^`]+)`\s+\(`([^`]+)`\)", section))
+    capped = {"dim": 2, "gaps": 1, "hom": 0}
+    reports = run_catalog("all") + run_catalog("all", capped)
+    for caps in (default_caps(), capped):
+        reports += [run_artinian_lp_suite(algebra, caps) for _, algebra, _ in build_artinian_catalog()]
+        reports += [run_semigroup_lp_suite(sgp, caps) for _, sgp, _ in build_semigroup_catalog()]
+    emitted = {(re.sub(r"\[.*\]$", "[E]", c.name), c.anchor) for report in reports for c in report.checks}
+    assert {"identity-suite", "trace-is-translate", "trace-is-translate[E]"} <= {name for name, _ in emitted}
+    assert {name: listed.get(name) for name, _ in emitted} == dict(emitted)
