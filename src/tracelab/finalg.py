@@ -23,6 +23,7 @@ from .errors import (
 from .polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
+SWEEP_BUDGET = 2**19  # enumerate_ideals visits at most this many subspaces of one local algebra
 
 
 class IdealSubspace:
@@ -317,11 +318,17 @@ class FinAlgebra:
         return ideal.matrix[rows[0]] if len(rows) == 1 else None
 
     def is_ideal(self, sub: IdealSubspace) -> bool:
-        for i in range(self.dim):
-            for row in sub.matrix:
-                if not sub.contains_vector(self.mul_basis(i, row)):
-                    return False
-        return True
+        """Whether the subspace is closed under multiplication by R.
+
+        It is tested only under the generators, g*v for each rref row v and
+        each generator g.  _validate certifies that the generators generate
+        the algebra, so R is spanned by words in them applied to 1, and
+        multiplication by such a word is the product of the generators'
+        matrices.  A subspace closed under each generator is closed under
+        every word, hence under their span, which is R.
+        """
+        p = self.field.p
+        return all(sub.contains_vector(linalg.combine(row, g, p)) for row in sub.matrix for g in self.generators)
 
     def _generating_rows(self, ideal: IdealSubspace):
         """(v, action(v)) for the rref rows v of the ideal, in order, that the
@@ -539,10 +546,15 @@ class FinAlgebra:
         return self.annihilator(rad).dim == self.dim - rad.dim
 
     def enumerate_ideals(self, cap_dim=None):
-        """All multiplicatively closed subspaces, canonically ordered by dimension.
+        """All ideals, in the order (dim, pivots, matrix) of their rref matrices.
 
-        For products of local algebras the enumeration runs blockwise (every
-        ideal of a product is a product of ideals).
+        The sweep visits every subspace of F_p^d in that order and keeps those
+        that is_ideal accepts.  Before it starts, EnumerationCapExceededError
+        is raised when d exceeds cap_dim (default 6 over F_2, 4 for p >= 3),
+        or when the subspaces to visit, subspace_count(p, d), exceed
+        SWEEP_BUDGET; each message states the work next to the cap.  For
+        products of local algebras the enumeration runs blockwise (every ideal
+        of a product is a product of ideals), and each factor is capped alone.
         """
         if self.factors is not None:
             parts = [f.enumerate_ideals(cap_dim) for f in self.factors]
@@ -555,6 +567,11 @@ class FinAlgebra:
                 f"dimension {self.dim} exceeds the enumeration cap {cap}"
             )
         p, d = self.field.p, self.dim
+        count = subspace_count(p, d)
+        if count > SWEEP_BUDGET:
+            raise EnumerationCapExceededError(
+                f"{count} subspaces of F_{p}^{d} exceed the sweep budget {SWEEP_BUDGET}"
+            )
         found = []
         for k in range(d + 1):
             for pivots in itertools.combinations(range(d), k):
@@ -602,6 +619,15 @@ class FinAlgebra:
             out.append(IdealSubspace(self.field.p, f.dim, rows))
             off += f.dim
         return tuple(out)
+
+
+def subspace_count(p, d):
+    """The number of subspaces of F_p^d, sum_k [d choose k]_p, by the
+    Goldman-Rota recurrence G(n+1) = 2*G(n) + (p^n - 1)*G(n-1)."""
+    before, count = 0, 1  # G(-1) and G(0); the n = 0 step multiplies G(-1) by p^0 - 1 = 0
+    for n in range(d):
+        before, count = count, 2 * count + (p**n - 1) * before
+    return count
 
 
 def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra:

@@ -259,6 +259,19 @@ def test_artinian_suites_over_a_large_prime_are_quick(capsys):
     assert "summary: pass=" in capsys.readouterr().out
 
 
+def test_sweep_over_the_subspace_budget_is_undecided_quickly(capsys):
+    # dimension 4 passes the default cap for p >= 3, but F_101^4 has
+    # 107,192,416 subspaces to sweep
+    spec = '{"kind":"artinian","field":101,"vars":["x"],"relations":["x^4"]}'
+    start = time.monotonic()
+    assert run(["artinian", "--spec", spec, "--suite", "lp", "--format", "json"]) == 0
+    assert time.monotonic() - start < 1.0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "undecided"
+    reasons = {c["status"]: c["witness"]["reason"] for c in report["checks"]}
+    assert reasons == {"skipped": "107192416 subspaces of F_101^4 exceed the sweep budget 524288"}
+
+
 def test_iso_with_a_huge_hom_cap_is_quick(capsys):
     document = '{"kind":"artinian","field":2,"vars":["x","y"],"relations":["x^2","y^2"]}'
     start = time.monotonic()

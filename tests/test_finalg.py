@@ -1114,6 +1114,137 @@ def test_enumeration_cap(chain_algebra):
         algebra_from_presentation(3, ("x",), ("x^5",)).enumerate_ideals()
 
 
+def _sweep_order(ideal):
+    return (ideal.dim, ideal.pivots, ideal.matrix)
+
+
+def _subspaces(p, d):
+    """Every subspace of F_p^d, in the order (dim, pivots, matrix)."""
+    for k in range(d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, d) if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(c == pivot) for c in range(d)] for pivot in pivots]
+                for (r, c), value in zip(free, values):
+                    rows[r][c] = value
+                yield IdealSubspace(p, d, rows)
+
+
+def _oracle_is_ideal(algebra, sub):
+    """Closure under multiplication by every basis element."""
+    return all(sub.contains_vector(algebra.mul_basis(i, row)) for i in range(algebra.dim) for row in sub.matrix)
+
+
+def _is_ideal_against_the_oracle(algebra):
+    """(subspaces of the whole algebra on which is_ideal and the basis oracle
+    disagree, the subspaces the oracle accepts), both in the sweep's order."""
+    p, d = algebra.field.p, algebra.dim
+    disagree, accepted = [], []
+    for sub in _subspaces(p, d):
+        closed = _oracle_is_ideal(algebra, sub)
+        if algebra.is_ideal(sub) != closed:
+            disagree.append(sub)
+        if closed:
+            accepted.append(sub)
+    return disagree, accepted
+
+
+def test_is_ideal_through_the_generators_matches_the_basis_oracle(binomial_algebras):
+    # a product is swept one factor at a time and lists its ideals in the
+    # factors' order, so its whole space is compared here and its list sorted
+    binomials = binomial_algebras(seed=11, count=30)
+    products = [
+        product
+        for product in (product_algebra(a, b) for a, b in zip(binomials, binomials[1:]) if a.field.p == b.field.p)
+        if finalg.subspace_count(product.field.p, product.dim) <= 3000
+    ]
+    cube = algebra_from_presentation(3, ("x",), ("x^3",))
+    bare = FinAlgebra(cube.field, cube.basis_labels, cube.table, cube.unit)
+    algebras = (
+        [a for _, a, _ in build_artinian_catalog()]
+        + [catalog_product_algebra(), algebra_from_presentation(2, (), ()), bare]
+        + binomials
+        + products
+        + _apery_algebras()
+    )
+    assert len(products) >= 2 and bare.generators == bare.table
+    for algebra in algebras:
+        disagree, accepted = _is_ideal_against_the_oracle(algebra)
+        assert not disagree, algebra.label
+        ideals = algebra.enumerate_ideals()
+        assert (ideals if algebra.factors is None else sorted(ideals, key=_sweep_order)) == accepted, algebra.label
+
+
+def test_the_is_ideal_oracle_sees_a_product_without_its_idempotents():
+    # without the factor idempotents the generators act as x alone; two
+    # subspaces are closed under x but are no ideals, since 1@0 times their
+    # first row leaves them
+    product = catalog_product_algebra()
+    p = product.field.p
+    nilpotent = []
+    for g in product.generators:
+        value = linalg.combine(product.unit, g, p)
+        if linalg.combine(value, g, p) != value:
+            nilpotent.append(g)
+    assert len(nilpotent) == 1
+    product.generators = tuple(nilpotent)
+    disagree, _ = _is_ideal_against_the_oracle(product)
+    assert [product.format_ideal(sub) for sub in disagree] == ["x@0 + 1@1", "1@0 + 1@1, x@0"]
+
+
+def test_enumerate_ideals_returns_the_sweep_order(binomial_algebras):
+    # the order a walk of the ideal lattice has to reproduce; products are left
+    # out, as they list their ideals in the factors' order
+    for algebra in [a for _, a, _ in build_artinian_catalog()] + binomial_algebras(seed=11, count=30):
+        ideals = algebra.enumerate_ideals()
+        assert ideals == sorted(ideals, key=_sweep_order), algebra.label
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        algebra_from_presentation(2, ("x",), ("x^5",)),
+        algebra_from_presentation(3, ("x",), ("x^3",)),
+        catalog_product_algebra(),
+    ],
+    ids=lambda algebra: algebra.label,
+)
+def test_the_sweep_visits_subspace_count_subspaces(monkeypatch, algebra):
+    visited = []
+    is_ideal = FinAlgebra.is_ideal
+    monkeypatch.setattr(FinAlgebra, "is_ideal", lambda self, sub: visited.append(sub) or is_ideal(self, sub))
+    algebra.enumerate_ideals()
+    factors = algebra.factors or (algebra,)
+    assert visited == [sub for f in factors for sub in _subspaces(f.field.p, f.dim)]
+    assert len(visited) == sum(finalg.subspace_count(f.field.p, f.dim) for f in factors)
+
+
+def test_subspace_counts_against_the_sweep_budget():
+    count = finalg.subspace_count
+    assert [count(2, d) for d in range(6)] == [1, 2, 5, 16, 67, 374]
+    assert (count(2, 7), count(2, 8), count(31, 4), count(101, 4)) == (29212, 417199, 1016836, 107192416)
+    assert count(2, 8) <= finalg.SWEEP_BUDGET < count(31, 4)
+    start = time.monotonic()
+    for p in (31, 101):
+        algebra = algebra_from_presentation(p, ("x",), ("x^4",))
+        reason = f"{count(p, 4)} subspaces of F_{p}\\^4 exceed the sweep budget 524288"
+        with pytest.raises(EnumerationCapExceededError, match=reason):
+            algebra.enumerate_ideals()
+    assert time.monotonic() - start < 1.0
+
+
+def test_one_sweep_counts_its_row_reductions(monkeypatch):
+    # a dim-7 F_2 algebra of the benchmark's sweep pool: 29,212 subspaces, each
+    # tested under the 2 variables; testing under all 7 basis elements made
+    # 135,732 reductions
+    algebra = algebra_from_presentation(2, ("x", "y"), ("x^3", "x^2*y", "y^3"))
+    calls = []
+    reduce_vector = linalg.reduce_vector
+    monkeypatch.setattr(linalg, "reduce_vector", lambda *args: calls.append(1) or reduce_vector(*args))
+    assert len(algebra.enumerate_ideals(cap_dim=7)) == 30
+    assert len(calls) == 32756
+
+
 # --- products -----------------------------------------------------------------------
 
 def test_product_algebra_trace_factorization():
