@@ -110,10 +110,11 @@ class FinAlgebra:
     commutative, have the unit as identity and equal the derived table; that
     holds exactly when it is associative, each generator is multiplication by
     its value at 1, and the generators generate the algebra.  Pass table=None
-    to take the derived table.  Locality (a nilpotent generator list) is
-    certified by algebra_from_presentation; products of local algebras carry
-    their factor list instead of a maximal ideal.  Hom spaces, traces and
-    isomorphism tests need one of the two, for the radical.
+    to take the derived table.  The constructor then derives the radical from
+    the table (see _nilradical), so Hom spaces, traces, isomorphism tests and
+    the Gorenstein test work on every algebra.  product_algebra also passes
+    its factor list: least_generator, product_ideal and factor_ideals need it
+    on an algebra that is not local.
     """
 
     __slots__ = (
@@ -123,10 +124,10 @@ class FinAlgebra:
         "table",
         "unit",
         "label",
-        "maximal_ideal",
         "factors",
         "generators",
         "_presentation",
+        "_radical",
     )
 
     def __init__(self, field, basis_labels, table, unit, label=None, factors=None, generators=None):
@@ -142,13 +143,13 @@ class FinAlgebra:
             raise StructureError(f"unit is not a vector of length {d}")
         self.unit = tuple(x % p for x in unit)
         self.label = label or f"F_{p}^{d}-algebra"
-        self.maximal_ideal = None
         self.factors = tuple(factors) if factors else None
         self.generators = self.table if generators is None else tuple(
             _square(g, d, p, f"generator {k} is not a {d} x {d} matrix") for k, g in enumerate(generators)
         )
         self._presentation = None
         self._validate()
+        self._radical = self._nilradical()
 
     def _validate(self):
         """Derive the table from the generators, and check a table passed in
@@ -215,6 +216,31 @@ class FinAlgebra:
         if given is not None and table != given:
             raise StructureError(broken)
         self.table = table
+
+    def _nilradical(self) -> IdealSubspace:
+        """The nilradical, which is the Jacobson radical of an artinian
+        algebra: the kernel of F^k for the Frobenius map F(x) = x^p and the
+        least k >= 1 with p^k >= d.
+
+        F is F_p-linear, since (x + y)^p = x^p + y^p in a commutative algebra
+        of characteristic p and c^p = c on F_p, so row i of the matrix of F^k
+        is e_i^(p^k): e_i^p from e_i^2 by p - 2 multiplications by e_i, then
+        k - 1 more applications of F.  A nilpotent x has a nilpotent d x d
+        multiplication matrix, so x^(p^k) = 0 as p^k >= d; conversely
+        x^(p^k) = 0 makes x nilpotent.
+        """
+        d, p = self.dim, self.field.p
+        frobenius = []
+        for i in range(d):
+            power = self.table[i][i]
+            for _ in range(p - 2):
+                power = linalg.combine(power, self.table[i], p)
+            frobenius.append(power)
+        rows, reach = frobenius, p
+        while reach < d:
+            rows = [linalg.combine(row, frobenius, p) for row in rows]
+            reach *= p
+        return IdealSubspace(p, d, linalg.right_kernel(list(zip(*rows)), d, p))
 
     # -- elements ----------------------------------------------------------
 
@@ -523,13 +549,12 @@ class FinAlgebra:
 
     @property
     def is_local(self) -> bool:
-        return self.maximal_ideal is not None and self.factors is None
+        """Local with residue field F_p: the radical has codimension 1."""
+        return self._radical.dim == self.dim - 1
 
     def radical(self) -> IdealSubspace:
-        """Jacobson radical: the maximal ideal, or the factors' maximal ideals blockwise."""
-        if self.is_local:
-            return self.maximal_ideal
-        return self.product_ideal([f.maximal_ideal for f in self.local_factors()])
+        """Jacobson radical, derived from the table (see _nilradical)."""
+        return self._radical
 
     def local_factors(self):
         if self.is_local:
@@ -539,9 +564,11 @@ class FinAlgebra:
         raise StructureError("algebra carries neither a locality nor a product certificate")
 
     def is_gorenstein(self) -> bool:
-        """Socle criterion: ann(rad) has dimension dim R - dim rad, one per
-        local factor, since each factor has residue field F_p and the socle
-        of a product is the sum of the factors' socles, none of them zero."""
+        """Socle criterion: R is Gorenstein when the socle of each local factor
+        is one-dimensional over that factor's residue field.  The socle
+        ann(rad) is the sum of the factors' socles, none of them zero, and
+        R/rad is the product of the residue fields, so that holds exactly when
+        ann(rad) has F_p-dimension dim R - dim rad, whatever the residue fields."""
         rad = self.radical()
         return self.annihilator(rad).dim == self.dim - rad.dim
 
@@ -636,15 +663,15 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
     The basis is the set of degrevlex standard monomials of a Groebner basis
     of the relations.  Row m of a variable x's matrix is x*m, a basis vector
     when x*m is standard and else the normal form of that border monomial;
-    FinAlgebra builds the table from the standard variables' matrices.
-    Raises NotZeroDimensionalError when the quotient is infinite dimensional,
-    StructureError past the table cap of standard_monomials, and
-    NotLocalError when a standard variable is not nilpotent.  Those variables
-    generate the algebra, so they are nilpotent exactly when the span of the
-    non-constant standard monomials is a proper nilpotent ideal, which is
-    then the maximal ideal.  Locality is thus certified at the origin only:
-    F_2[x]/(x^2+1) is local but raises NotLocalError, and is presented as
-    F_2[u]/(u^2), u = x + 1.
+    FinAlgebra builds the table from the standard variables' matrices and
+    derives the radical.  Raises NotZeroDimensionalError when the quotient is
+    infinite dimensional, StructureError past the table cap of
+    standard_monomials, and NotLocalError unless the radical is the span of
+    the non-constant standard monomials, whose rref pivots are 1..d-1 (mons[0]
+    is 1).  The standard variables generate the algebra, and that span is the
+    ideal they generate, so this holds exactly when they are nilpotent.
+    Locality is thus certified at the origin only: F_2[x]/(x^2+1) is local
+    but raises NotLocalError, and is presented as F_2[u]/(u^2), u = x + 1.
     """
     field = PrimeField(p)
     variables = tuple(variables)
@@ -685,15 +712,9 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
     # monomial is one of them times a standard monomial; mons[0] is 1
     generators = [matrices[v] for v, step in enumerate(steps) if step in index]
     algebra = FinAlgebra(field, labels, None, identity[0], label=label, generators=generators)
+    if algebra.radical().pivots != tuple(range(1, d)):
+        raise NotLocalError("a variable is not nilpotent: the non-constant monomials span no nilpotent ideal")
     algebra._presentation = (variables, [matrix[0] for matrix in matrices])
-
-    for g in algebra.generators:
-        power = algebra.unit
-        for _ in range(d):
-            power = linalg.combine(power, g, p)
-        if any(power):
-            raise NotLocalError("a variable is not nilpotent: the non-constant monomials span no nilpotent ideal")
-    algebra.maximal_ideal = IdealSubspace(p, d, [algebra.basis_vector(k) for k, m in enumerate(mons) if sum(m)])
     return algebra
 
 
@@ -709,8 +730,10 @@ def _in_block(matrix, off, d):
 def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
     """Block-diagonal product of two algebras over the same prime field.
 
-    The result is not local; it carries the flattened list of local factors,
-    and Gorenstein tests and ideal enumeration operate blockwise.
+    The result is not local.  It derives its radical from the table like any
+    algebra, and carries the flattened list of local factors, through which
+    least_generator, product_ideal, factor_ideals and enumerate_ideals work
+    blockwise.
     """
     if left.field != right.field:
         raise StructureError("product factors live over different fields")

@@ -178,7 +178,7 @@ def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> Veri
         gor = algebra.is_gorenstein()
         if not algebra.is_local:
             return gor, None
-        socle = algebra.annihilator(algebra.maximal_ideal)
+        socle = algebra.annihilator(algebra.radical())
         return gor, {"socle": algebra.format_ideal(socle), "socle_dimension": socle.dim}
 
     def witness(ideal, tr):

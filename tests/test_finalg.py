@@ -29,7 +29,7 @@ def test_chain_algebra_presentation(chain_algebra):
     assert chain_algebra.dim == 3
     assert chain_algebra.basis_labels == ("1", "x", "x^2")
     assert chain_algebra.is_local
-    assert chain_algebra.maximal_ideal.dim == 2
+    assert chain_algebra.radical().dim == 2
 
 
 def test_field_presentation():
@@ -117,23 +117,53 @@ def test_shapes_are_checked_before_anything_else(fat_point):
         assert str(raised.value) == message
 
 
-def test_hom_needs_a_locality_or_product_certificate(fat_point):
-    # the minimal generators of an ideal come from rad*I, and a bare table has
-    # no radical: local_factors() refuses it
+def _bare(algebra):
+    """The algebra's table alone: no generators, factors or presentation."""
+    return FinAlgebra(algebra.field, algebra.basis_labels, algebra.table, algebra.unit)
+
+
+def _blockwise_radical(algebra):
+    """The radical as radical() built it before it was derived: the local
+    factors' radicals, embedded block by block."""
+    return algebra.product_ideal([f.radical() for f in algebra.local_factors()])
+
+
+def test_a_bare_local_table_answers_as_its_presentation(fat_point):
+    # the minimal generators of an ideal come from rad*I, and a bare table
+    # derives its radical like a presented algebra
     B = fat_point
-    bare = FinAlgebra(B.field, B.basis_labels, B.table, B.unit)
-    x_ideal = bare.ideal_generate([B.element("x")])
-    y_ideal = bare.ideal_generate([B.element("y")])
+    bare = _bare(B)
+    assert bare.is_local and bare.radical() == B.radical()
+    ideals = B.enumerate_ideals()
+    for left, right in itertools.product(ideals, repeat=2):
+        assert bare.hom_module(left, right).maps == B.hom_module(left, right).maps
+        assert bare.is_isomorphic(left, right) == B.is_isomorphic(left, right)
+    for ideal in ideals:
+        assert bare.trace_ideal(ideal) == B.trace_ideal(ideal)
+        assert bare.least_generator(ideal) == B.least_generator(ideal)
+    assert bare.is_gorenstein() == B.is_gorenstein()
+
+
+def test_a_bare_product_table_needs_its_factors_only_for_least_generator():
+    product = catalog_product_algebra()
+    bare = _bare(product)
+    assert not bare.is_local and bare.radical() == product.radical() == _blockwise_radical(product)
+    ideals = product.enumerate_ideals()
+    for left, right in itertools.product(ideals, repeat=2):
+        assert bare.hom_module(left, right).dim == product.hom_module(left, right).dim
+    for ideal in ideals:
+        assert bare.trace_ideal(ideal) == product.trace_ideal(ideal)
+    assert bare.is_gorenstein() == product.is_gorenstein()
+    # least_generator runs factor by factor on an algebra that is not local
     with pytest.raises(StructureError, match="certificate"):
-        bare.hom_module(x_ideal, y_ideal)
-    with pytest.raises(StructureError, match="certificate"):
-        bare.trace_ideal(x_ideal)
-    with pytest.raises(StructureError, match="certificate"):
-        bare.is_isomorphic(x_ideal, y_ideal)
-    with pytest.raises(StructureError, match="certificate"):
-        bare.least_generator(x_ideal)
-    with pytest.raises(StructureError, match="certificate"):
-        bare.is_gorenstein()
+        bare.least_generator(bare.unit_ideal())
+
+
+def test_a_bare_field_of_four_elements_has_radical_zero_and_is_not_local():
+    # F_2[x]/(x^2+x+1), x^2 = x + 1: local, but with residue field F_4
+    f4 = FinAlgebra(PrimeField(2), ("1", "x"), (((1, 0), (0, 1)), ((0, 1), (1, 1))), (1, 0))
+    assert f4.radical() == f4.zero_ideal() and not f4.is_local
+    assert f4.is_gorenstein()
 
 
 def _oracle_associative(table, p):
@@ -337,7 +367,7 @@ def _seeded_texts(rng, p, variables):
 
 def test_presentation_matches_the_pairwise_oracle():
     # the variables' matrices against the normal form of every product of two
-    # standard monomials: tables, generators, units, labels, maximal ideals,
+    # standard monomials: tables, generators, units, labels, radicals,
     # refusals (class and text) and element() against the normal form
     rng = random.Random(1807)
     cases = [(p, variables, relations) for _, p, variables, relations, _ in ARTINIAN_CATALOG if relations]
@@ -358,7 +388,7 @@ def test_presentation_matches_the_pairwise_oracle():
         assert algebra.generators == generators
         assert algebra.unit == table[0][0]
         assert algebra.basis_labels == tuple(Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons)
-        assert algebra.maximal_ideal == _oracle_maximal_ideal(algebra)
+        assert algebra.radical() == _oracle_maximal_ideal(algebra)
         for text in _seeded_texts(rng, p, variables):
             assert algebra.element(text) == coordinates(Polynomial.parse(field, variables, text)), (p, relations, text)
         outcomes["built"] += 1
@@ -391,9 +421,11 @@ def test_presentation_takes_one_normal_form_per_variable_and_basis_monomial(monk
     assert sorted(max(f.terms)[::-1] for f in calls) == sorted(
         m for m in itertools.product(range(4), repeat=3) if max(m) == 3 and sum(e == 3 for e in m) == 1
     )
-    # the breadth-first walk builds the table: 1,026 row combinations (1,728
-    # when the table was built first and the walk compared against it, 5,427
-    # with the associativity loop and a span rref per degree)
+    # the breadth-first walk builds the table and the Frobenius powers derive
+    # the radical: 1,053 row combinations (1,026 with a power loop per
+    # variable in place of the Frobenius powers, 1,728 when the table was
+    # built first and the walk compared against it, 5,427 with the
+    # associativity loop and a span rref per degree)
     assert len(combines) <= 1100
 
 
@@ -426,18 +458,24 @@ def _oracle_product_table(left, right):
 
 
 def _walk_solves(monkeypatch, algebra):
-    """The rrefs that FinAlgebra spends deriving the table from the algebra's
-    generators: the one solve through the inverse of the walk basis, or none
-    when every walk vector is a basis vector."""
+    """The rrefs that FinAlgebra._validate spends deriving the table from the
+    algebra's generators: the one solve through the inverse of the walk
+    basis, or none when every walk vector is a basis vector.  The kernel that
+    derives the radical afterwards is not counted."""
     solves = []
-    rref = linalg.rref
+    rref, validate = linalg.rref, FinAlgebra._validate
 
     def counted(rows, p):
         solves.append(len(rows))
         return rref(rows, p)
 
+    def counted_validate(self):
+        with monkeypatch.context() as inner:
+            inner.setattr(linalg, "rref", counted)
+            validate(self)
+
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "rref", counted)
+        patch.setattr(FinAlgebra, "_validate", counted_validate)
         rebuilt = FinAlgebra(algebra.field, algebra.basis_labels, None, algebra.unit, generators=algebra.generators)
     assert rebuilt.table == algebra.table
     return len(solves)
@@ -467,6 +505,7 @@ def test_derived_tables_match_the_oracles_through_a_change_of_basis(monkeypatch,
     for left, right in pairs:
         product = product_algebra(left, right)
         assert product.table == _oracle_product_table(left, right), product.label
+        assert product.radical() == _blockwise_radical(product), product.label
         assert _walk_solves(monkeypatch, product) == 1
 
 
@@ -518,7 +557,7 @@ def _seeded_presentation(rng):
 
 def test_locality_from_nilpotent_generators_matches_the_candidate_ideal_oracle(binomial_algebras):
     for algebra in [a for _, a, _ in build_artinian_catalog()] + binomial_algebras(seed=11, count=30):
-        assert _oracle_maximal_ideal(algebra) == algebra.maximal_ideal, algebra.label
+        assert _oracle_maximal_ideal(algebra) == algebra.radical(), algebra.label
     rng = random.Random(1807)
     local = non_local = 0
     for _ in range(300):
@@ -535,7 +574,7 @@ def test_locality_from_nilpotent_generators_matches_the_candidate_ideal_oracle(b
         else:
             algebra = algebra_from_presentation(p, variables, relations)
             assert algebra.table == unchecked.table
-            assert algebra.maximal_ideal == expected, (p, relations)
+            assert algebra.radical() == expected, (p, relations)
             local += 1
     assert min(local, non_local) >= 50
 
@@ -557,7 +596,7 @@ def test_ideal_product_examples(square_corner, fat_point):
     xy_ideal = B.ideal_generate([B.element("x*y")])
     assert B.ideal_product(x_ideal, y_ideal) == xy_ideal
     assert B.ideal_product(x_ideal, B.unit_ideal()) == x_ideal
-    m = fat_point.maximal_ideal
+    m = fat_point.radical()
     assert fat_point.ideal_product(m, m) == fat_point.zero_ideal()
 
 
@@ -625,7 +664,7 @@ def test_ideal_operations_count_their_work(monkeypatch):
     A = algebra_from_presentation(5, ("a", "b"), ("a^4", "b^5"))
     calls.clear()
     # two generating rows, a and b: 20 + 5 row combinations (380 from every row)
-    assert A.annihilator(A.maximal_ideal) == A.ideal_generate([A.element("a^3*b^4")])
+    assert A.annihilator(A.radical()) == A.ideal_generate([A.element("a^3*b^4")])
     assert calls["combine"] <= 60, calls
     B = algebra_from_presentation(5, ("u", "v"), ("u^3", "v^3"))
     u_ideal, v_ideal = B.ideal_generate([B.element("u")]), B.ideal_generate([B.element("v")])
@@ -648,7 +687,7 @@ def _brute_annihilator(algebra, ideal):
 
 def test_annihilator_examples(chain_algebra, fat_point):
     A, B = chain_algebra, fat_point
-    assert B.annihilator(B.ideal_generate([B.element("x")])) == B.maximal_ideal
+    assert B.annihilator(B.ideal_generate([B.element("x")])) == B.radical()
     assert B.annihilator(B.unit_ideal()) == B.zero_ideal()
     x2 = A.ideal_generate([A.element("x^2")])
     assert A.annihilator(x2) == A.ideal_generate([A.element("x")])
@@ -782,8 +821,8 @@ def test_hom_from_generators_matches_the_basis_oracle_on_binomial_algebras(binom
 
 
 def _apery_algebras():
-    """The 80 Apery algebras of the test_apery.py ranges: bare tables certified
-    local, whose generators include the unit row."""
+    """The 80 Apery algebras of the test_apery.py ranges: bare tables, local
+    by their derived radical, whose generators include the unit row."""
     seen = {}
     for p, top in ((2, 5), (3, 3)):
         for m in range(2, top + 1):
@@ -798,7 +837,7 @@ def _apery_algebras():
 
 
 def test_hom_matches_the_basis_oracle_on_apery_algebras():
-    # rad*I must come from the maximal ideal, not from the generators
+    # rad*I must come from the radical, not from the generators
     for algebra in _apery_algebras():
         _assert_hom_matches_oracle(algebra)
 
@@ -820,9 +859,9 @@ def _random_ideal(rng, algebra, power):
 def test_hom_matches_the_basis_oracle_on_seeded_ideal_pairs(p, variables, relations, exponent):
     # ideals inside m^exponent keep the oracle's (dim I)(dim J) unknowns small
     algebra = algebra_from_presentation(p, tuple(variables), relations)
-    power = algebra.maximal_ideal
+    power = algebra.radical()
     for _ in range(exponent - 1):
-        power = algebra.ideal_product(power, algebra.maximal_ideal)
+        power = algebra.ideal_product(power, algebra.radical())
     rng = random.Random(f"hom/{algebra.label}")
     pairs = []
     while len(pairs) < 40:
@@ -830,7 +869,7 @@ def test_hom_matches_the_basis_oracle_on_seeded_ideal_pairs(p, variables, relati
         if domain.dim * codomain.dim <= 150:
             pairs.append((domain, codomain))
     # some domain needs two or more generators: dim I/mI >= 2
-    assert max(d.dim - algebra.ideal_product(algebra.maximal_ideal, d).dim for d, _ in pairs) >= 2
+    assert max(d.dim - algebra.ideal_product(algebra.radical(), d).dim for d, _ in pairs) >= 2
     _assert_hom_matches_oracle(algebra, pairs)
 
 
@@ -857,14 +896,14 @@ def test_trace_examples(chain_algebra, fat_point):
     x_in_chain = A.ideal_generate([A.element("x")])
     assert A.trace_ideal(x_in_chain) == x_in_chain
     x_in_fat = B.ideal_generate([B.element("x")])
-    assert B.trace_ideal(x_in_fat) == B.maximal_ideal
+    assert B.trace_ideal(x_in_fat) == B.radical()
     assert A.trace_ideal(A.unit_ideal()) == A.unit_ideal()
     assert A.trace_ideal(A.zero_ideal()) == A.zero_ideal()
 
 
 def test_principal_trace_oracle_examples(fat_point):
     B = fat_point
-    assert B.trace_principal_via_ann(B.element("x")) == B.maximal_ideal
+    assert B.trace_principal_via_ann(B.element("x")) == B.radical()
     assert B.trace_principal_via_ann(B.element("1")) == B.unit_ideal()
     assert B.trace_principal_via_ann(B.element("0")) == B.zero_ideal()
 
@@ -872,12 +911,12 @@ def test_principal_trace_oracle_examples(fat_point):
 def test_least_generator(chain_algebra, fat_point):
     A = chain_algebra
     assert A.least_generator(A.zero_ideal()) == A.zero_vector()
-    assert A.least_generator(A.maximal_ideal) == A.element("x")
+    assert A.least_generator(A.radical()) == A.element("x")
     assert A.least_generator(A.unit_ideal()) == A.element("1")
-    assert fat_point.least_generator(fat_point.maximal_ideal) is None
-    uncertified = FinAlgebra(PrimeField(2), ["1"], [[(1,)]], (1,))
-    with pytest.raises(StructureError):
-        uncertified.least_generator(uncertified.unit_ideal())
+    assert fat_point.least_generator(fat_point.radical()) is None
+    # a bare table of F_2 is local: it needs no certificate
+    bare = FinAlgebra(PrimeField(2), ["1"], [[(1,)]], (1,))
+    assert bare.is_local and bare.least_generator(bare.unit_ideal()) == (1,)
 
 
 def _oracle_least_generator(algebra, ideal):
@@ -893,7 +932,7 @@ def _oracle_least_generator(algebra, ideal):
 
 def _oracle_is_gorenstein(algebra):
     """The socle criterion factor by factor: each socle is one-dimensional."""
-    return all(f.annihilator(f.maximal_ideal).dim == 1 for f in algebra.local_factors())
+    return all(f.annihilator(f.radical()).dim == 1 for f in algebra.local_factors())
 
 
 def test_least_generator_and_gorenstein_match_the_oracles(binomial_algebras):
@@ -938,8 +977,8 @@ def test_isomorphic_ideals_in_fat_point(fat_point):
     x_ideal = B.ideal_generate([B.element("x")])
     y_ideal = B.ideal_generate([B.element("y")])
     assert B.is_isomorphic(x_ideal, y_ideal)
-    assert not B.is_isomorphic(x_ideal, B.maximal_ideal)
-    assert B.is_isomorphic(B.maximal_ideal, B.maximal_ideal)
+    assert not B.is_isomorphic(x_ideal, B.radical())
+    assert B.is_isomorphic(B.radical(), B.radical())
 
 
 def test_gorenstein_ideals_isomorphic_only_when_equal(square_corner):
@@ -1159,7 +1198,7 @@ def test_is_ideal_through_the_generators_matches_the_basis_oracle(binomial_algeb
         if finalg.subspace_count(product.field.p, product.dim) <= 3000
     ]
     cube = algebra_from_presentation(3, ("x",), ("x^3",))
-    bare = FinAlgebra(cube.field, cube.basis_labels, cube.table, cube.unit)
+    bare = _bare(cube)
     algebras = (
         [a for _, a, _ in build_artinian_catalog()]
         + [catalog_product_algebra(), algebra_from_presentation(2, (), ()), bare]

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -341,6 +342,19 @@ def test_enumerate_matches_the_gap_mask_oracle(gens):
     found = enumerate_normalized_ideals(sgp)
     assert all(e.min == 0 and e.conductor <= sgp.conductor for e in found)
     assert [e.members_below(sgp.conductor) for e in found] == _oracle_normalized_ideals(sgp)
+
+
+def test_two_generator_ideals_number_the_rational_catalan_number():
+    """The normalized ideals of <a,b> are its 0-normalized semimodules, and
+    those number the rational Catalan number (a+b-1)!/(a!*b!) (Gorsky-Mazin,
+    Compactified Jacobians and q,t-Catalan numbers I, JCTA 2013)."""
+    pairs = [(a, b) for a in range(2, 10) for b in range(a + 1, 21 - a) if math.gcd(a, b) == 1]
+    pairs += [(4, 21), (3, 46), (2, 61), (11, 12)]
+    assert len(pairs) == 49
+    for a, b in pairs:
+        sgp = semigroup_new((a, b))
+        found = enumerate_normalized_ideals(sgp, cap=len(sgp.gaps))
+        assert len(found) == math.factorial(a + b - 1) // (math.factorial(a) * math.factorial(b)), (a, b)
 
 
 def test_enumerate_cap():

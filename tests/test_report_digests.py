@@ -125,7 +125,7 @@ def _artinian_faults():
 
     def maximal_trace_of_unit(original):
         def trace_ideal(self, ideal):
-            return self.maximal_ideal if ideal == self.unit_ideal() else original(self, ideal)
+            return self.radical() if ideal == self.unit_ideal() else original(self, ideal)
 
         return trace_ideal
 
@@ -177,7 +177,7 @@ def _artinian_faults():
     # (x) against m fails by dimension; the principal ideals run in the order
     # of their least generators, so (z) against (y) runs over the budget.
     yield "lp-budget-principal-ideals", cube, ("lp", "identities"), _caps(hom=0), [
-        _trace_map(cube, {gen["z"]: gen["y"], gen["x"]: cube.maximal_ideal})
+        _trace_map(cube, {gen["z"]: gen["y"], gen["x"]: cube.radical()})
     ]
 
 
