@@ -224,17 +224,22 @@ class FinAlgebra:
 
         F is F_p-linear, since (x + y)^p = x^p + y^p in a commutative algebra
         of characteristic p and c^p = c on F_p, so row i of the matrix of F^k
-        is e_i^(p^k): e_i^p from e_i^2 by p - 2 multiplications by e_i, then
-        k - 1 more applications of F.  A nilpotent x has a nilpotent d x d
-        multiplication matrix, so x^(p^k) = 0 as p^k >= d; conversely
-        x^(p^k) = 0 makes x nilpotent.
+        is e_i^(p^k): e_i^p by square-and-multiply, at most 2 log2(p)
+        products, then k - 1 more applications of F.  A nilpotent x has a
+        nilpotent d x d multiplication matrix, so x^(p^k) = 0 as p^k >= d;
+        conversely x^(p^k) = 0 makes x nilpotent.
         """
         d, p = self.dim, self.field.p
         frobenius = []
         for i in range(d):
+            # left to right over the bits of p after its leading 1, whose
+            # square e_i^2 is table[i][i]; a power that reached 0 stays 0
             power = self.table[i][i]
-            for _ in range(p - 2):
-                power = linalg.combine(power, self.table[i], p)
+            for n, bit in enumerate(bin(p)[3:]):
+                if n and any(power):
+                    power = self.mul(power, power)
+                if bit == "1":
+                    power = self.mul_basis(i, power)
             frobenius.append(power)
         rows, reach = frobenius, p
         while reach < d:

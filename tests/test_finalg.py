@@ -15,6 +15,7 @@ from tracelab.errors import (
     TraceLabError,
 )
 from tracelab import finalg, linalg
+from tracelab.cli import parse_ring_spec
 from tracelab.finalg import FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
 from tracelab.numsgp import semigroup_new
 from tracelab.polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
@@ -164,6 +165,34 @@ def test_a_bare_field_of_four_elements_has_radical_zero_and_is_not_local():
     f4 = FinAlgebra(PrimeField(2), ("1", "x"), (((1, 0), (0, 1)), ((0, 1), (1, 1))), (1, 0))
     assert f4.radical() == f4.zero_ideal() and not f4.is_local
     assert f4.is_gorenstein()
+
+
+def test_the_radical_over_a_large_prime_takes_few_products(monkeypatch):
+    """x^p by square-and-multiply: a loop of p multiplications never ends at
+    p = 2^61 - 1, so every row combination past a small budget fails fast."""
+    p = 2**61 - 1
+    combines = []
+
+    def counted_combine(coeffs, rows, q):
+        combines.append(q)
+        assert len(combines) <= 2000, "the radical costs more than 2,000 row combinations"
+        return combine(coeffs, rows, q)
+
+    combine = linalg.combine
+    monkeypatch.setattr(linalg, "combine", counted_combine)
+    spec = parse_ring_spec(f'{{"kind":"artinian","field":{p},"vars":["x"],"relations":["x^2"]}}')
+    fat = algebra_from_presentation(spec.p, spec.variables, spec.relations)
+    assert fat.is_local and fat.radical() == fat.ideal_generate([fat.element("x")])
+    field = algebra_from_presentation(p, (), ())
+    assert field.is_local and field.radical() == field.zero_ideal()
+    both = product_algebra(fat, field)
+    assert not both.is_local and both.radical() == _blockwise_radical(both)
+    # p = 3 mod 4, so x^2 + 1 is irreducible and x^p = -x: residue field F_(p^2)
+    with pytest.raises(NotLocalError):
+        algebra_from_presentation(p, ("x",), ("x^2 + 1",))
+    for square in ((p - 1, 0), (0, 1)):  # x^2 = -1, and x^2 = x (F_p x F_p)
+        bare = FinAlgebra(PrimeField(p), ("1", "x"), (((1, 0), (0, 1)), ((0, 1), square)), (1, 0))
+        assert bare.radical() == bare.zero_ideal() and not bare.is_local
 
 
 def _oracle_associative(table, p):
