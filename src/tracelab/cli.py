@@ -50,19 +50,6 @@ class RingSpec:
     relations: tuple = ()
     generators: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "artinian":
-            return {
-                "kind": "artinian",
-                "field": self.p,
-                "vars": list(self.variables),
-                "relations": list(self.relations),
-            }
-        return {"kind": "semigroup", "generators": list(self.generators)}
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _json_list(data: dict, key: str, item_type: type, default=None) -> tuple:
     """data[key] as a tuple; it must be a JSON array whose items are all item_type."""

@@ -69,6 +69,8 @@ class HomBasis:
 
     Each map is stored as a (dim I) x (dim J) matrix of coordinates: row a
     holds the image of the a-th basis row of I written in the basis of J.
+    FinAlgebra.hom_module gives one map per kernel vector of its generator
+    system, so the basis is the one trace_ideal and is_isomorphic search.
     """
 
     __slots__ = ("domain", "codomain", "maps")
@@ -468,20 +470,15 @@ class FinAlgebra:
         """Basis of the module of algebra-linear maps domain -> codomain.
 
         The maps come from the images of the domain's minimal generators
-        (_hom_system): f(v_a) = sum_j r_{a,j}*y_j.  They are returned as the
-        basis that right_kernel gives for the (dim I)x(dim J) coordinate
-        matrices that satisfy f(r*v) = r*f(v).
+        (_hom_system): f(v_a) = sum_j r_{a,j}*y_j, one map per vector of the
+        kernel that _hom_system solves, in its order.  trace_ideal and
+        is_isomorphic read that same kernel.
         """
         p = self.field.p
-        s, t = domain.dim, codomain.dim
         expressions, actions, kernel = self._hom_system(domain, codomain)
         # row a of a map is linear in the images: r_{a,j}*w_b for each unknown (j, b)
         images = [[linalg.combine(r, action, p) for r in rs for action in actions] for rs in expressions]
-        flat = [
-            tuple(itertools.chain.from_iterable(linalg.combine(vec, image, p) for image in images)) for vec in kernel
-        ]
-        maps = [tuple(vec[a * t : (a + 1) * t] for a in range(s)) for vec in linalg.kernel_basis(flat, p)]
-        return HomBasis(domain, codomain, maps)
+        return HomBasis(domain, codomain, [[linalg.combine(vec, image, p) for image in images] for vec in kernel])
 
     def trace_ideal(self, ideal: IdealSubspace) -> IdealSubspace:
         """Ideal generated by all values f(v), f ranging over Hom(ideal, R).
@@ -578,7 +575,8 @@ class FinAlgebra:
         return self.annihilator(rad).dim == self.dim - rad.dim
 
     def enumerate_ideals(self, cap_dim=None):
-        """All ideals, in the order (dim, pivots, matrix) of their rref matrices.
+        """All ideals; for an algebra without factors, in the order (dim,
+        pivots, matrix) of their rref matrices.
 
         The sweep visits every subspace of F_p^d in that order and keeps those
         that is_ideal accepts.  Before it starts, EnumerationCapExceededError
@@ -586,7 +584,9 @@ class FinAlgebra:
         or when the subspaces to visit, subspace_count(p, d), exceed
         SWEEP_BUDGET; each message states the work next to the cap.  For
         products of local algebras the enumeration runs blockwise (every ideal
-        of a product is a product of ideals), and each factor is capped alone.
+        of a product is a product of ideals), and each factor is capped alone:
+        the list is the itertools.product of the factors' lists, which is not
+        sorted in that order.
         """
         if self.factors is not None:
             parts = [f.enumerate_ideals(cap_dim) for f in self.factors]

@@ -113,20 +113,6 @@ def right_kernel(rows, ncols, p):
     return tuple(basis)
 
 
-def kernel_basis(rows, p):
-    """The basis right_kernel(C) returns, from rows that span ker C.
-
-    It is the rref of the rows with the columns reversed, read back reversed.
-    The free columns of the rref of C are the complement of its pivots, the
-    greedy basis from the left of C's column matroid.  The complement of that
-    basis is the greedy basis from the right of the dual matroid, which is
-    the column matroid of ker C: the pivots of the reversed rref.  Both
-    matrices are the identity on those columns, in ascending order.
-    """
-    mat = rref([row[::-1] for row in rows], p)[0]
-    return tuple(row[::-1] for row in reversed(mat))
-
-
 def rank(rows, p):
     return len(rref(rows, p)[0])
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 
 DEFAULT_GAP_CAP = 24
+IDEAL_BUDGET = 2**16  # most normalized ideals one enumeration lists
 MAX_WINDOW_BITS = 1 << 24  # largest membership window semigroup_new allocates
 
 
@@ -152,21 +153,10 @@ class RelativeIdeal:
 
     Stored as its minimum and the bitset of E - min(E), a canonical form, so
     equal ideals have equal fields; sporadic and conductor are read off it.
+    from_members is the one constructor.
     """
 
     __slots__ = ("sgp", "min", "bits")
-
-    def __init__(self, sgp, sporadic, conductor):
-        """Validating constructor from sporadic elements below a tight conductor."""
-        sporadic = sorted(set(sporadic))
-        if sporadic and sporadic[-1] >= conductor:
-            raise StructureError("sporadic element at or above the conductor")
-        if sporadic and sporadic[-1] == conductor - 1:
-            raise StructureError("conductor is not tight")
-        low = sporadic[0] if sporadic else conductor
-        bits = sum(1 << (z - low) for z in sporadic) | -1 << (conductor - low)
-        built = self.from_members(sgp, bits, low)
-        self.sgp, self.min, self.bits = built.sgp, built.min, built.bits
 
     @classmethod
     def from_members(cls, sgp, bits, offset):
@@ -344,6 +334,10 @@ def enumerate_normalized_ideals(sgp: NumericalSemigroup, cap: int = DEFAULT_GAP_
     gap + g is already a member for every generator g, and leaving it out is
     always allowed, so every branch ends in an ideal.  Ascending bitset order
     is the ascending gap-mask order over the sorted gaps.
+
+    EnumerationCapExceededError is raised before the walk when the genus
+    exceeds cap, and during it once more than IDEAL_BUDGET ideals are found:
+    the work is the number of ideals, up to 2^genus for <g+1, ..., 2g+1>.
     """
     n = (~sgp.bits).bit_count()  # the genus, counted before any gap is listed
     if n > cap:
@@ -354,6 +348,10 @@ def enumerate_normalized_ideals(sgp: NumericalSemigroup, cap: int = DEFAULT_GAP_
     while stack:
         i, bits = stack.pop()
         if i == n:
+            if len(found) == IDEAL_BUDGET:
+                raise EnumerationCapExceededError(
+                    f"more than {IDEAL_BUDGET} ideals exceed the ideal budget {IDEAL_BUDGET}"
+                )
             found.append(bits)
             continue
         stack.append((i + 1, bits))
@@ -363,14 +361,22 @@ def enumerate_normalized_ideals(sgp: NumericalSemigroup, cap: int = DEFAULT_GAP_
 
 
 def parse_ideal_text(sgp: NumericalSemigroup, text: str) -> RelativeIdeal:
-    """Inverse of RelativeIdeal.format: 'sporadic,... | conductor'."""
+    """Inverse of RelativeIdeal.format: 'sporadic,... | conductor' is the ideal
+    of the sporadic elements, all below a tight conductor, and of every integer
+    from the conductor up; from_members checks that it is closed."""
     try:
         left, right = text.split("|")
-        sporadic = tuple(int(z) for z in left.split(",") if z.strip())
+        sporadic = sorted({int(z) for z in left.split(",") if z.strip()})
         conductor = int(right)
     except ValueError as exc:
         raise StructureError(f"bad ideal text {text!r}") from exc
-    return RelativeIdeal(sgp, sporadic, conductor)
+    if sporadic and sporadic[-1] >= conductor:
+        raise StructureError("sporadic element at or above the conductor")
+    if sporadic and sporadic[-1] == conductor - 1:
+        raise StructureError("conductor is not tight")
+    low = sporadic[0] if sporadic else conductor
+    bits = sum(1 << (z - low) for z in sporadic) | -1 << (conductor - low)
+    return RelativeIdeal.from_members(sgp, bits, low)
 
 
 def colength(sgp: NumericalSemigroup, ideal: RelativeIdeal) -> int:

@@ -49,18 +49,13 @@ class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "skipped"
     anchor: str
-    witness: dict | None = None
-    reason: str | None = None
+    witness: dict | None = None  # {"reason": ...} for a skipped check
 
     def to_dict(self):
-        witness = self.witness
-        if self.status == "skipped":
-            witness = dict(witness or {})
-            witness["reason"] = self.reason or ""
         return {
             "name": self.name,
             "status": self.status,
-            "witness": witness,
+            "witness": self.witness,
             "anchor": self.anchor,
         }
 
@@ -102,7 +97,7 @@ def _check(name, ok, anchor, witness=None):
 
 
 def _skip(name, anchor, reason):
-    return CheckResult(name, "skipped", anchor, None, reason)
+    return CheckResult(name, "skipped", anchor, {"reason": reason})
 
 
 def _first(witnesses):
@@ -591,8 +586,8 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         line = f"  [{tag[c.status]}] {c.name}"
         if c.status == "fail" and c.witness is not None:
             line += f"  witness={json.dumps(c.witness, sort_keys=True)}"
-        if c.status == "skipped" and c.reason:
-            line += f"  reason={c.reason}"
+        if c.status == "skipped" and c.witness["reason"]:
+            line += f"  reason={c.witness['reason']}"
         lines.append(line)
     s = report.summary
     lines.append(f"summary: pass={s['pass']} fail={s['fail']} skipped={s['skipped']}")

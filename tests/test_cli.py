@@ -45,15 +45,16 @@ def test_parse_errors_carry_distinct_codes(document, code):
 
 
 def test_spec_round_trip():
-    catalog_specs = [
-        '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^3"]}',
-        '{"kind":"artinian","field":3,"vars":["x"],"relations":["x^3"]}',
-        '{"kind":"semigroup","generators":[3,4]}',
-        '{"kind":"semigroup","generators":[2,9]}',
-    ]
-    for document in catalog_specs:
-        spec = parse_ring_spec(document)
-        assert parse_ring_spec(spec.serialize()) == spec
+    catalog_specs = {
+        '{"kind":"artinian","field":2,"vars":["x"],"relations":["x^3"]}':
+            RingSpec(kind="artinian", p=2, variables=("x",), relations=("x^3",)),
+        '{"kind":"artinian","field":3,"vars":["x"],"relations":["x^3"]}':
+            RingSpec(kind="artinian", p=3, variables=("x",), relations=("x^3",)),
+        '{"kind":"semigroup","generators":[3,4]}': RingSpec(kind="semigroup", generators=(3, 4)),
+        '{"kind":"semigroup","generators":[2,9]}': RingSpec(kind="semigroup", generators=(2, 9)),
+    }
+    for document, spec in catalog_specs.items():
+        assert parse_ring_spec(document) == spec
 
 
 # --- single operations ---------------------------------------------------------------
@@ -230,6 +231,24 @@ def test_semigroup_beyond_the_gap_cap_is_undecided_quickly(capsys):
     assert [r["verdict"] for r in reports] == ["undecided", "undecided"]
     assert all(c["status"] == "skipped" for r in reports for c in r["checks"])
     assert "499500 gaps exceed the enumeration cap 24" in reports[0]["checks"][0]["witness"]["reason"]
+
+
+def test_semigroup_past_the_ideal_budget_is_refused_quickly(capsys):
+    # <25, ..., 49> has genus 24, inside the gap cap, and 2^24 normalized ideals
+    gens = ",".join(map(str, range(25, 50)))
+    start = time.monotonic()
+    assert run(["semigroup", "--gens", gens, "--suite", "lp", "--format", "json"]) == 0
+    assert time.monotonic() - start < 1.0
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    skipped = [c for c in checks if c["status"] == "skipped"]
+    assert [c["name"] for c in skipped] == ["trace-is-translate"]
+    assert skipped[0]["witness"] == {"reason": "more than 65536 ideals exceed the ideal budget 65536"}
+    start = time.monotonic()
+    assert run(["semigroup", "--gens", gens, "--op", "enumerate"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[EnumerationCapExceededError]: more than 65536 ideals")
 
 
 def test_oversized_semigroup_window_exits_two_quickly(capsys):

@@ -816,14 +816,19 @@ def _oracle_hom_module(algebra, domain, codomain):
 
 
 def _assert_hom_matches_oracle(algebra, pairs=None):
-    """hom_module gives the oracle's maps, in its order, on the pairs (every
-    pair of ideals by default); trace_ideal of each domain is the ideal spanned
-    by the images of the maps to R, whose rref basis is the identity."""
+    """hom_module spans the oracle's maps on the pairs (every pair of ideals by
+    default): as many maps, and the same rref of the maps flattened row by
+    row; trace_ideal of each domain is the ideal spanned by the images of the
+    maps to R, whose rref basis is the identity."""
     if pairs is None:
         pairs = list(itertools.product(algebra.enumerate_ideals(), repeat=2))
+    p = algebra.field.p
     for domain, codomain in pairs:
         expected = _oracle_hom_module(algebra, domain, codomain)
-        assert algebra.hom_module(domain, codomain).maps == expected, algebra.label
+        maps = algebra.hom_module(domain, codomain).maps
+        assert len(maps) == len(expected), algebra.label
+        flat = [[sum(m, ()) for m in found] for found in (maps, expected)]
+        assert linalg.rref(flat[0], p) == linalg.rref(flat[1], p), algebra.label
     unit = algebra.unit_ideal()
     for domain in {domain for domain, _ in pairs}:
         images = [row for m in algebra.hom_module(domain, unit).maps for row in m]
@@ -1266,6 +1271,15 @@ def test_enumerate_ideals_returns_the_sweep_order(binomial_algebras):
     for algebra in [a for _, a, _ in build_artinian_catalog()] + binomial_algebras(seed=11, count=30):
         ideals = algebra.enumerate_ideals()
         assert ideals == sorted(ideals, key=_sweep_order), algebra.label
+
+
+def test_a_product_lists_its_ideals_in_the_product_of_its_factors_lists():
+    # itertools.product of [0, x, 1] and [0, 1]: not the sweep order, since the
+    # line 1@1 (pivot 2) comes before the line x@0 (pivot 1)
+    product = catalog_product_algebra()
+    assert [product.format_ideal(ideal) for ideal in product.enumerate_ideals()] == [
+        "0", "1@1", "x@0", "x@0, 1@1", "1@0, x@0", "1@0, x@0, 1@1",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -88,24 +88,3 @@ def test_combine_matches_the_naive_sum(case):
     coeffs, rows, p = case
     naive = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(len(rows[0])))
     assert linalg.combine(coeffs, rows, p) == naive
-
-
-@st.composite
-def _kernel_spans(draw):
-    """(C, spanning, p, ncols): a random matrix C and a random spanning set of
-    ker C, made of random combinations of a basis and the basis itself."""
-    p = draw(st.sampled_from((2, 3, 101)))
-    ncols = draw(st.integers(1, 7))
-    entries = st.integers(0, p - 1)
-    rows = draw(st.lists(st.tuples(*[entries] * ncols), max_size=6))
-    basis = linalg.right_kernel(rows, ncols, p)
-    mixes = draw(st.lists(st.tuples(*[entries] * len(basis)), max_size=4)) if basis else []
-    spanning = [linalg.combine(mix, basis, p) for mix in mixes] + list(basis)
-    return rows, draw(st.permutations(spanning)), p, ncols
-
-
-@given(_kernel_spans())
-@example((((1, 1, 0),), [(1, 1, 1), (0, 0, 1), (1, 1, 0)], 2, 3))
-def test_kernel_basis_from_any_spanning_set_is_right_kernel(case):
-    rows, spanning, p, ncols = case
-    assert linalg.kernel_basis(spanning, p) == linalg.right_kernel(rows, ncols, p)

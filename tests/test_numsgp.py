@@ -10,7 +10,7 @@ from tracelab.errors import (
     StructureError,
 )
 from tracelab.numsgp import (
-    RelativeIdeal,
+    IDEAL_BUDGET,
     canonical_ideal,
     colength,
     dual,
@@ -99,12 +99,12 @@ def test_relative_ideal_canonical_form():
 
 
 def test_relative_ideal_validation():
-    with pytest.raises(StructureError):
-        RelativeIdeal(S23, (1,), 5)  # 1 + 2 = 3 escapes
-    with pytest.raises(StructureError):
-        RelativeIdeal(S23, (4,), 5)  # conductor not tight
-    with pytest.raises(StructureError):
-        RelativeIdeal(S23, (7,), 5)  # sporadic above conductor
+    with pytest.raises(StructureError, match="escapes"):
+        parse_ideal_text(S23, "1 | 5")  # 1 + 2 = 3 escapes
+    with pytest.raises(StructureError, match="not tight"):
+        parse_ideal_text(S23, "4 | 5")  # conductor not tight
+    with pytest.raises(StructureError, match="at or above"):
+        parse_ideal_text(S23, "7 | 5")  # sporadic above conductor
 
 
 def test_ideal_from_gens_examples():
@@ -360,6 +360,14 @@ def test_two_generator_ideals_number_the_rational_catalan_number():
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapExceededError):
         enumerate_normalized_ideals(S34, cap=2)
+
+
+def test_enumerate_budget():
+    # every gap set of <g+1, ..., 2g+1> is closed, so it has 2^g normalized ideals
+    assert IDEAL_BUDGET == 2**16
+    assert len(enumerate_normalized_ideals(semigroup_new(range(17, 34)))) == IDEAL_BUDGET
+    with pytest.raises(EnumerationCapExceededError, match="more than 65536 ideals exceed the ideal budget 65536"):
+        enumerate_normalized_ideals(semigroup_new(range(18, 36)))
 
 
 def test_enumerated_ideals_are_normalized_and_closed():
