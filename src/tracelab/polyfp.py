@@ -15,6 +15,7 @@ Whitespace is ignored everywhere.
 
 from __future__ import annotations
 
+import heapq
 import re
 
 from .errors import (
@@ -99,6 +100,10 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 def mon_degree(m: Monomial) -> int:
     return sum(m)
 
+def mon_coprime(a: Monomial, b: Monomial) -> bool:
+    """True when a and b share no variable, so that their lcm is a*b."""
+    return not any(x and y for x, y in zip(a, b))
+
 
 def display_key(m: Monomial):
     """Graded key used for human-facing monomial sequences (1, x, y, x^2, ...)."""
@@ -123,9 +128,11 @@ def _parse_int(digits: str) -> int:
 
 
 class Polynomial:
-    """Element of F_p[variables], stored as a canonical monomial -> coefficient map."""
+    """Element of F_p[variables], stored as a canonical monomial -> coefficient map.
 
-    __slots__ = ("field", "variables", "terms")
+    The map is never written after construction, so leading() keeps its answer."""
+
+    __slots__ = ("field", "variables", "terms", "_leading")
 
     def __init__(self, field: PrimeField, variables, terms):
         self.field = field
@@ -139,6 +146,7 @@ class Polynomial:
             if c:
                 clean[tuple(mon)] = c
         self.terms = clean
+        self._leading = None
 
     @classmethod
     def parse(cls, field: PrimeField, variables, text: str) -> "Polynomial":
@@ -211,10 +219,10 @@ class Polynomial:
 
     def leading(self):
         """(monomial, coefficient) of the leading term, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        mon = max(self.terms, key=degrevlex)
-        return mon, self.terms[mon]
+        if self._leading is None and self.terms:
+            mon = max(self.terms, key=degrevlex)
+            self._leading = mon, self.terms[mon]
+        return self._leading
 
     def monic(self) -> "Polynomial":
         lead = self.leading()
@@ -307,27 +315,32 @@ def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Pair selection is by (degree of the lcm, pair index), which makes the
-    run, and hence the output order, deterministic.  No pair-elimination
-    criteria are applied; inputs here are tiny.
+    run, and hence the output order, deterministic.  Buchberger's first
+    criterion drops every pair whose leading monomials are coprime: its
+    S-polynomial has a standard representation by the pair itself
+    (Buchberger, EUROSAM 1979; Gebauer and Moeller, JSC 1988).
     """
     gens = _check_family(gens)
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        def lcm_deg(pair):
-            mi = basis[pair[0]].leading()[0]
-            mj = basis[pair[1]].leading()[0]
-            return mon_degree(mon_lcm(mi, mj))
+    pairs = []  # heap of (lcm degree, i, j), keyed once when the pair is made
 
-        i, j = min(pairs, key=lambda pr: (lcm_deg(pr), pr))
-        pairs.remove((i, j))
+    def add_pairs(j):
+        lj = basis[j].leading()[0]
+        for i in range(j):
+            li = basis[i].leading()[0]
+            if not mon_coprime(li, lj):
+                heapq.heappush(pairs, (mon_degree(mon_lcm(li, lj)), i, j))
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
         rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not rem.is_zero():
             basis.append(rem.monic())
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            add_pairs(len(basis) - 1)
     return _interreduce(basis)
 
 
@@ -348,10 +361,17 @@ def _interreduce(basis):
 
 
 def is_groebner(basis) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero."""
+    """Buchberger's criterion: every S-polynomial reduces to zero.
+
+    Pairs with coprime leading monomials are skipped, as in buchberger: their
+    S-polynomials always have a standard representation (Buchberger's first
+    criterion, EUROSAM 1979), so the answer is that of the all-pairs check."""
     basis = [g for g in _check_family(basis) if not g.is_zero()]
+    leads = [g.leading()[0] for g in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
+            if mon_coprime(leads[i], leads[j]):
+                continue
             if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
                 return False
     return True

@@ -31,20 +31,28 @@ def _monomial(rng, variables):
             return "*".join(f"{v}^{k}" for v, k in zip(variables, exps) if k)
 
 
+BINOMIAL_MAX_DIM = {2: 5, 3: 4, 5: 3, 7: 3}
+
+
+def _binomial_presentation(rng):
+    """(p, variables, relations): a pure power of each variable, then one or two binomials."""
+    p = rng.choice(tuple(BINOMIAL_MAX_DIM))
+    variables = ("x", "y", "z") if p == 2 and rng.random() < 0.3 else ("x", "y")
+    relations = [f"{v}^{rng.randrange(2, 4)}" for v in variables]
+    for _ in range(rng.randrange(1, 3)):
+        relations.append(f"{_monomial(rng, variables)} + {rng.randrange(1, p)}*{_monomial(rng, variables)}")
+    return p, variables, relations
+
+
 def _binomial_algebras(seed, count):
     """Distinct local algebras F_p[vars]/(pure powers, one or two binomials),
     small enough for the element sweep."""
     rng = random.Random(seed)
-    max_dim = {2: 5, 3: 4, 5: 3, 7: 3}
     out, labels = [], set()
     while len(out) < count:
-        p = rng.choice(tuple(max_dim))
-        variables = ("x", "y", "z") if p == 2 and rng.random() < 0.3 else ("x", "y")
-        relations = [f"{v}^{rng.randrange(2, 4)}" for v in variables]
-        for _ in range(rng.randrange(1, 3)):
-            relations.append(f"{_monomial(rng, variables)} + {rng.randrange(1, p)}*{_monomial(rng, variables)}")
+        p, variables, relations = _binomial_presentation(rng)
         algebra = algebra_from_presentation(p, variables, relations)
-        if algebra.dim <= max_dim[p] and algebra.label not in labels:
+        if algebra.dim <= BINOMIAL_MAX_DIM[p] and algebra.label not in labels:
             labels.add(algebra.label)
             out.append(algebra)
     return out

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -7,23 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelab import finalg, polyfp
 from tracelab.errors import NotZeroDimensionalError, PolynomialSyntaxError, StructureError
 from tracelab.polyfp import (
     Polynomial,
     PRIME_LIMIT,
     TABLE_CAP_DIM,
     PrimeField,
+    _interreduce,
     buchberger,
     degrevlex,
     display_key,
     is_groebner,
+    mon_coprime,
+    mon_degree,
     mon_div,
     mon_divides,
     mon_lcm,
     mon_mul,
     normal_form,
+    s_polynomial,
     standard_monomials,
 )
+from tracelab.verify import ARTINIAN_CATALOG, build_artinian_catalog
+
+from conftest import _binomial_presentation
+from test_finalg import _seeded_change_of_basis_presentation, _seeded_mixed_presentation, _seeded_presentation
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -83,6 +93,8 @@ def test_monomial_helpers():
     assert not mon_divides((0, 2), (1, 1))
     assert mon_div((2, 1), (1, 0)) == (1, 1)
     assert mon_lcm((2, 0), (1, 1)) == (2, 1)
+    assert mon_coprime((2, 0, 1), (0, 3, 0)) and mon_coprime((0, 0), (1, 1))
+    assert not mon_coprime((1, 0, 1), (0, 1, 1))
 
 
 # --- parsing and formatting --------------------------------------------------
@@ -230,6 +242,131 @@ def test_buchberger_permutation_invariance_of_quotient_size():
     for perm in itertools.permutations(gens):
         sizes.add(len(standard_monomials(buchberger(list(perm)))))
     assert len(sizes) == 1
+
+
+def _buchberger_all_pairs(gens):
+    """Buchberger's loop over every pair: the next pair is the least by (lcm
+    degree of its leading monomials, rescanned at every step, pair index)."""
+    basis = [g.monic() for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        def lcm_deg(pair):
+            mi = basis[pair[0]].leading()[0]
+            mj = basis[pair[1]].leading()[0]
+            return mon_degree(mon_lcm(mi, mj))
+
+        i, j = min(pairs, key=lambda pr: (lcm_deg(pr), pr))
+        pairs.remove((i, j))
+        rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not rem.is_zero():
+            basis.append(rem.monic())
+            k = len(basis) - 1
+            pairs.update((i2, k) for i2 in range(k))
+    return _interreduce(basis)
+
+
+def _is_groebner_all_pairs(basis):
+    """Buchberger's criterion on every pair, coprime leading monomials included."""
+    basis = [g for g in basis if not g.is_zero()]
+    return all(normal_form(s_polynomial(f, g), basis).is_zero() for f, g in itertools.combinations(basis, 2))
+
+
+def _has_coprime_pair(basis):
+    leads = [g.leading()[0] for g in basis if not g.is_zero()]
+    return any(mon_coprime(a, b) for a, b in itertools.combinations(leads, 2))
+
+
+# the presentations of the benchmark's single-ops workload
+SINGLE_OPS_PRESENTATIONS = (
+    (2, ("x", "y", "z"), ("x^3", "y^3", "z^3")),
+    (3, ("x", "y"), ("x^4", "y^4")),
+    (5, ("x", "y"), ("x^3", "y^3")),
+    (5, ("x", "y"), ("x^4", "y^5")),
+    (7, ("x", "y"), ("x^5+6*y^7", "x^2*y^2")),
+    (2, ("x", "y"), ("x^3", "y^4")),
+    (3, ("t",), ("t^3",)),
+)
+
+
+def test_buchberger_matches_the_all_pairs_oracle():
+    # the catalog, the single-ops rings, the seeded presentations of the
+    # finalg tests and the sympy cases: the same reduced basis, in the same order
+    families = []
+    for p, variables, relations in [(p, v, r) for _, p, v, r, _ in ARTINIAN_CATALOG if r] + list(SINGLE_OPS_PRESENTATIONS):
+        families.append([Polynomial.parse(PrimeField(p), variables, r) for r in relations])
+    draws = (
+        (_binomial_presentation, 11, 150),
+        (_seeded_mixed_presentation, 1807, 330),
+        (_seeded_presentation, 1807, 300),
+        (_seeded_change_of_basis_presentation, 1807, 60),
+    )
+    for draw, seed, count in draws:
+        rng = random.Random(seed)
+        for _ in range(count):
+            p, variables, relations = draw(rng)
+            families.append([Polynomial.parse(PrimeField(p), variables, r) for r in relations])
+    for p, n, relations in SEPARATING_SETS + list(_seeded_relation_sets(100)):
+        families.append([Polynomial(PrimeField(p), ("x", "y", "z")[:n], r) for r in relations])
+    criterion_applies = 0
+    for gens in families:
+        assert buchberger(gens) == _buchberger_all_pairs(gens), gens
+        criterion_applies += _has_coprime_pair(gens)
+    assert len(families) == 958 and criterion_applies >= 500, criterion_applies
+
+
+def _seeded_families(count):
+    """Small families over F_2, F_3 and F_5 in 1-3 variables: random
+    polynomials with some pure powers, their reduced Groebner basis, that
+    basis with non-monic multiples of the generators (still Groebner), and a
+    part of it with one more random polynomial."""
+    rng = random.Random("is-groebner")
+    for _ in range(count):
+        p, n = rng.choice((2, 3, 5)), rng.randrange(1, 4)
+        field, names = PrimeField(p), ("x", "y", "z")[:n]
+
+        def random_poly():
+            mons = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.choice((1, 1, 2, 3)))]
+            return Polynomial(field, names, {m: rng.randrange(1, p) for m in mons})
+
+        family = [random_poly() for _ in range(rng.randrange(1, 4))]
+        for i in range(n):
+            if rng.random() < 0.5:
+                family.append(Polynomial(field, names, {tuple(rng.randrange(1, 4) * (k == i) for k in range(n)): 1}))
+        gb = buchberger(family)
+        yield family
+        yield gb
+        yield gb + [g.term_mul(rng.randrange(1, p), tuple(rng.randrange(2) for _ in range(n))) for g in family]
+        yield [g for g in gb if rng.random() < 0.7] + [random_poly()]
+
+
+def test_is_groebner_matches_the_all_pairs_check():
+    outcomes = collections.Counter()
+    for family in _seeded_families(150):
+        expected = _is_groebner_all_pairs(family)
+        assert is_groebner(family) == expected, family
+        outcomes[expected, _has_coprime_pair(family)] += 1
+    # Groebner and not, with and without a pair the criterion skips
+    assert sum(outcomes.values()) == 600 and min(outcomes.values()) >= 25, outcomes
+
+
+def test_the_pair_criterion_saves_s_polynomials(monkeypatch):
+    spolys, normal_forms = [], []
+    monkeypatch.setattr(polyfp, "s_polynomial", lambda f, g: spolys.append(1) or s_polynomial(f, g))
+    # (x,y,z)^2: six of the 15 pairs of leading monomials are coprime
+    square = [Polynomial.parse(F2, ("x", "y", "z"), t) for t in ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2")]
+    gb = buchberger(square)
+    assert len(spolys) == 9
+    assert is_groebner(gb) and len(spolys) == 18
+    # the catalog's artinian rings, built through buchberger, the Groebner check
+    # in standard_monomials and one normal form per border monomial; the
+    # all-pairs loops formed 40 S-polynomials and 80 normal forms
+    spolys.clear()
+    for module in (polyfp, finalg):
+        monkeypatch.setattr(module, "normal_form", lambda f, basis: normal_forms.append(1) or normal_form(f, basis))
+    build_artinian_catalog()
+    assert (len(spolys), len(normal_forms)) == (22, 62)
 
 
 # --- standard monomials -----------------------------------------------------------
