@@ -8,8 +8,10 @@ when z is a member), negative because every integer from the conductor
 ``(~bits).bit_length()`` up is a member; an ideal stores min(E) and the
 bitset of E - min(E), so equal sets have equal fields.  Sums are ORs of
 shifts and colons ANDs of shifts, as in Fromentin and Hivert (Exploring the
-tree of numerical semigroups, Math. Comp. 2016), and every constructed ideal
-is re-verified against its closure contract.
+tree of numerical semigroups, Math. Comp. 2016).  The shifts run over the
+minimal generators of the right operand only, at most the multiplicity of S
+of them, since F = gens(F) + S and E + S = E.  Every constructed ideal is
+re-verified against its closure contract.
 
 Isomorphism of monomial modules is decided as translation: a module map
 between monomial submodules of the quotient field is multiplication by a
@@ -196,8 +198,9 @@ class RelativeIdeal:
         return self.min >= other.min and not (self.bits << (self.min - other.min)) & ~other.bits
 
     def format(self) -> str:
-        listed = ",".join(str(z) for z in self.sporadic)
-        return f"{listed} | {self.conductor}" if listed else f"| {self.conductor}"
+        conductor = self.conductor
+        listed = ",".join(map(str, self.members_below(conductor)))
+        return f"{listed} | {conductor}" if listed else f"| {conductor}"
 
     def __eq__(self, other):
         return (
@@ -255,15 +258,34 @@ def ideal_from_gens(sgp: NumericalSemigroup, offsets) -> RelativeIdeal:
     return RelativeIdeal.from_members(sgp, bits, least)
 
 
+def generator_offsets(ideal: RelativeIdeal) -> list:
+    """Sorted z - min(E) over the minimal generators z of E.
+
+    A member is a minimal generator when it is no member plus a generator of
+    S.  Two of them never differ by a multiple of the multiplicity m, which
+    lies in S, so there are at most m."""
+    bits = ideal.bits
+    covered = 0
+    for g in ideal.sgp.generators:
+        covered |= bits << g
+    free = bits & ~covered
+    offsets = []
+    while free:
+        low = free & -free
+        offsets.append(low.bit_length() - 1)
+        free ^= low
+    return offsets
+
+
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """{e + f}: the monomial form of the product of two modules.
 
-    Every shift of right from its conductor up covers the whole tail, so only
-    the members of right below its conductor shift left's bitset."""
+    right is the union of f + S over its minimal generators f and left + S is
+    left, so the sum is the OR of left's bitset shifted by each of those f
+    (at most the multiplicity of them)."""
     sgp = _same_semigroup(left, right)
-    tail = (~right.bits).bit_length()
-    bits = -1 << tail
-    for f in _positions(right.bits & ((1 << tail) - 1)):
+    bits = 0
+    for f in generator_offsets(right):
         bits |= left.bits << f
     return RelativeIdeal.from_members(sgp, bits, left.min + right.min)
 
@@ -272,13 +294,13 @@ def ideal_colon(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """{z : z + right is contained in left}, the colon taken in the quotient field.
 
     Relative to the minima it is {y : y + f in left for every f in right}, and
-    f = 0 forces y >= 0, so it is the AND of left >> f; a member f from the
-    conductor of left up imposes nothing.
+    y + f in left puts y + f + S in left, so only the minimal generators f of
+    right (at most the multiplicity of them) count: the AND of left >> f.
+    f = 0 is one of them, which forces y >= 0.
     """
     sgp = _same_semigroup(left, right)
-    tail = (~left.bits).bit_length()
     bits = -1
-    for f in _positions(right.bits & ((1 << tail) - 1)):
+    for f in generator_offsets(right):
         bits &= left.bits >> f
     return RelativeIdeal.from_members(sgp, bits, left.min - right.min)
 

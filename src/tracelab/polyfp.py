@@ -180,6 +180,8 @@ class Polynomial:
         return cls(field, variables, terms)
 
     def _check_compatible(self, other: "Polynomial"):
+        if self.field is other.field and self.variables is other.variables:
+            return  # the common case: one family built from the same objects
         if self.field != other.field or self.variables != other.variables:
             raise StructureError("polynomials over different rings")
 

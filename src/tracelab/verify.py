@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 
 from . import linalg, numsgp
 from .errors import EnumerationCapExceededError, SearchBudgetExceededError
@@ -321,10 +322,10 @@ def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) ->
     caps = caps or default_caps()
     report = VerificationReport(ring=sgp.label, suite="lp", caps=caps, verdict="undecided")
 
-    def translate(ideal):
+    def translate(ideal, text):
         tr = trace(ideal)
         offset = is_translate(ideal, tr).offset
-        return offset is not None, {"E": ideal.format(), "trace": tr.format(), "offset": offset}
+        return offset is not None, {"E": text, "trace": tr.format(), "offset": offset}
 
     def classification():
         counterexample = next((c.witness for c in report.checks if c.status == "fail"), None)
@@ -342,7 +343,8 @@ def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) ->
 
     def groups(ideals):
         for e in ideals:
-            yield [(f"trace-is-translate[{e.format()}]", "monomial-trace-isomorphism", partial(translate, e))]
+            text = e.format()
+            yield [(f"trace-is-translate[{text}]", "monomial-trace-isomorphism", partial(translate, e, text))]
         anchor = "dimension-one-multiplicity-two-classification"
         yield [("verdict-matches-multiplicity-classification", anchor, classification)]
 
@@ -566,9 +568,55 @@ def run_catalog(suite: str = "all", caps: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth):
+    """The C-backed encoder whose item separator is the newline and indent
+    that json.dumps(..., indent=2) puts between the items of a container at
+    nesting depth `depth`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _dict_key(key):
+    """A dict key as json.dumps writes it: a string, or the JSON text of an
+    int, float, bool or None key, quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = _flat_encoder(0).encode(key)
+    return encode_basestring_ascii(key)
+
+
+def _to_json(obj, depth=0):
+    """json.dumps(obj, indent=2, sort_keys=True) for obj at nesting depth
+    `depth`, byte for byte.
+
+    That call runs the pure-Python encoder, since the C one takes no indent.
+    A container whose values are all scalars or empty containers is written
+    by one call of the C encoder, whose separator already holds the indent,
+    and the brackets are laid out around it; deeper containers recurse."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _flat_encoder(depth).encode(obj)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    inner = "\n" + "  " * (depth + 1)
+    if all(not isinstance(v, _CONTAINERS) or not v for v in values):
+        body = _flat_encoder(depth).encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(f"{_dict_key(k)}: {_to_json(v, depth + 1)}" for k, v in sorted(obj.items()))
+    else:
+        body = ("," + inner).join(_to_json(v, depth + 1) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
+
+
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
+    """The report as text or JSON.  The JSON is byte-identical to
+    json.dumps(report.to_dict(), indent=2, sort_keys=True) plus a newline."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _to_json(report.to_dict()) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"ring: {report.ring}", f"suite: {report.suite}"]
@@ -595,8 +643,10 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
 
 
 def emit_reports(reports, fmt: str = "text") -> str:
+    """The reports as text, or as JSON byte-identical to
+    json.dumps({"reports": [...]}, indent=2, sort_keys=True) plus a newline."""
     if fmt == "json":
-        return json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True) + "\n"
+        return _to_json({"reports": [r.to_dict() for r in reports]}) + "\n"
     return "\n".join(emit_report(r, "text") for r in reports)
 
 

@@ -11,12 +11,15 @@ from tracelab.errors import (
 )
 from tracelab.numsgp import (
     IDEAL_BUDGET,
+    RelativeIdeal,
+    _positions,
     canonical_ideal,
     colength,
     dual,
     endo_semigroup,
     enumerate_normalized_ideals,
     filtration_length,
+    generator_offsets,
     ideal_colon,
     ideal_from_gens,
     ideal_sum,
@@ -199,6 +202,87 @@ def test_sum_and_colon_match_brute_force():
                 bound = quot.conductor + 5
                 oracle = _oracle_colon_members(left, right, lo, bound)
                 assert {z for z in quot.members_below(bound) if z >= lo} == oracle
+
+
+def _ideal_sum_by_members(left, right):
+    """The member-wise sum: left's bitset shifted by every member of right
+    below right's conductor, over the tail that any one shift from there up
+    covers."""
+    tail = (~right.bits).bit_length()
+    bits = -1 << tail
+    for f in _positions(right.bits & ((1 << tail) - 1)):
+        bits |= left.bits << f
+    return RelativeIdeal.from_members(left.sgp, bits, left.min + right.min)
+
+
+def _ideal_colon_by_members(left, right):
+    """The member-wise colon: the AND of left >> f over every member f of
+    right below left's conductor; the members from there up impose nothing."""
+    tail = (~left.bits).bit_length()
+    bits = -1
+    for f in _positions(right.bits & ((1 << tail) - 1)):
+        bits &= left.bits >> f
+    return RelativeIdeal.from_members(left.sgp, bits, left.min - right.min)
+
+
+def _single_ops_ideals(gens):
+    """Translates of S + {0, g} and S + {0, g, g'} for gaps g, g' at the middle
+    of the gap list, the ideals the one-shot --op jobs of the benchmark take,
+    with S and the maximal ideal."""
+    sgp = semigroup_new(gens)
+    gaps = sgp.gaps
+    g1, g2, g3 = gaps[len(gaps) // 2 - 1 : len(gaps) // 2 + 2]
+    ideals = [semigroup_as_ideal(sgp), maximal_ideal(sgp)]
+    for k in (0, 37, 99):
+        for offsets in ((0, g1), (0, g2), (0, g3), (0, g1, g2)):
+            ideals.append(ideal_from_gens(sgp, [z + k for z in offsets]))
+    return ideals
+
+
+S512 = semigroup_new((5, 12))
+
+
+@pytest.mark.parametrize("sgp", CATALOG + [S512], ids=lambda s: s.label)
+def test_sum_and_colon_match_the_member_wise_oracle(sgp):
+    ideals = enumerate_normalized_ideals(sgp)
+    for left in ideals:
+        for right in ideals:
+            assert ideal_sum(left, right) == _ideal_sum_by_members(left, right), (left, right)
+            assert ideal_colon(left, right) == _ideal_colon_by_members(left, right), (left, right)
+
+
+def test_sum_and_colon_match_the_member_wise_oracle_on_translates_and_large_rings():
+    pairs = []
+    for sgp in CATALOG + WIDER + [S512]:
+        ideals = enumerate_normalized_ideals(sgp)[::7] + [canonical_ideal(sgp), maximal_ideal(sgp)]
+        pairs += [(e.shift(a), f.shift(b)) for e in ideals for f in ideals for a, b in ((-3, 5), (4, -9), (11, 2))]
+    for gens in ((20, 33), (19, 37)):
+        ideals = _single_ops_ideals(gens)
+        pairs += [(e, f) for e in ideals for f in ideals]
+    for left, right in pairs:
+        assert ideal_sum(left, right) == _ideal_sum_by_members(left, right), (left, right)
+        assert ideal_colon(left, right) == _ideal_colon_by_members(left, right), (left, right)
+
+
+def test_generator_offsets_are_the_minimal_generators():
+    ideals = []
+    for sgp in CATALOG + WIDER + [S512]:
+        ideals += enumerate_normalized_ideals(sgp) + [canonical_ideal(sgp).shift(-4)]
+    for gens in ((20, 33), (19, 37)):
+        ideals += _single_ops_ideals(gens)
+    for e in ideals:
+        sgp = e.sgp
+        offsets = generator_offsets(e)
+        assert offsets == sorted(offsets) and 1 <= len(offsets) <= sgp.multiplicity
+        members = e.members_below(e.min + offsets[-1] + 1)
+        for z in offsets:
+            assert e.contains(e.min + z)
+            assert not any(w < e.min + z and sgp.contains(e.min + z - w) for w in members), (e, z)
+        assert ideal_from_gens(sgp, [e.min + z for z in offsets]) == e
+    assert generator_offsets(semigroup_as_ideal(S34)) == [0]
+    assert generator_offsets(maximal_ideal(S34)) == [0, 1]  # 3 and 4, from min 3
+    assert generator_offsets(maximal_ideal(S345)) == [0, 1, 2]  # 3, 4 and 5
+    assert generator_offsets(ideal_from_gens(S34, (0, 5))) == [0, 5]
 
 
 # --- trace, dual, reflexivity ------------------------------------------------------

@@ -169,6 +169,21 @@ def test_normal_form_empty_basis_raises():
         normal_form(poly("x"), [])
 
 
+def test_normal_form_rejects_a_basis_over_another_ring():
+    f = poly("x^2 + y")
+    for basis in (
+        [Polynomial.parse(F2, ("y", "x"), "x")],
+        [Polynomial.parse(F3, XY, "x")],
+        [poly("y"), Polynomial.parse(F2, ("x",), "x")],
+    ):
+        with pytest.raises(StructureError):
+            normal_form(f, basis)
+    # equal but distinct field and variable objects still pass the check
+    twin = Polynomial.parse(PrimeField(2), tuple("xy"), "x")
+    assert twin.field is not f.field and twin.variables is not f.variables
+    assert normal_form(f, [twin]) == poly("y")
+
+
 def _all_polys_f2_xy(max_terms=3):
     mons = [(i, j) for i in range(3) for j in range(3)]
     for chosen in itertools.combinations(mons, max_terms):

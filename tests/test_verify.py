@@ -2,6 +2,9 @@ import json
 import re
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tracelab.finalg import FinAlgebra, HomBasis, algebra_from_presentation, product_algebra
 from tracelab.numsgp import (
     is_translate,
@@ -279,6 +282,65 @@ def test_check_result_serialization_round_trip():
         "witness": {"k": 1},
         "anchor": "anchor",
     }
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_emitted_as_by_json_dumps(reports):
+    for report in reports:
+        assert emit_report(report, "json") == _dumps(report.to_dict())
+    assert emit_reports(reports, "json") == _dumps({"reports": [r.to_dict() for r in reports]})
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x01\x1f\n\t\x7f\xe9\u2028\U0001f600') | st.characters(), max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.floats() | _TEXT
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False), inner, max_size=3)
+    | st.dictionaries(st.none(), inner, max_size=1),
+    max_leaves=6,
+)
+_CHECKS = st.builds(
+    CheckResult,
+    _TEXT,
+    st.sampled_from(("pass", "fail", "skipped")),
+    _TEXT,
+    st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
+)
+_REPORTS = st.builds(
+    VerificationReport,
+    _TEXT,
+    _TEXT,
+    st.lists(_CHECKS, max_size=3),
+    st.dictionaries(_TEXT, _JSON, max_size=3),
+    st.none() | _TEXT,
+    _TEXT,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_REPORTS, max_size=2))
+def test_json_emission_is_byte_identical_to_json_dumps(reports):
+    _assert_emitted_as_by_json_dumps(reports)
+
+
+def test_json_emission_of_nested_witnesses_and_real_reports():
+    nested = CheckResult(
+        "c\u00e9\x00",
+        "fail",
+        'a"\\',
+        {"outer": {"inner": {"deep": [1, (), {}, [None, True]]}, "empty": {}}, "n": -(2**70), "t": (1, "x")},
+    )
+    flat = CheckResult("flat", "pass", "anchor", {"k": [], "v": False})
+    report = VerificationReport("ring", "suite", [nested, flat, CheckResult("none", "skipped", "a")])
+    _assert_emitted_as_by_json_dumps([])
+    _assert_emitted_as_by_json_dumps([report, VerificationReport("", "")])
+    _assert_emitted_as_by_json_dumps([run_semigroup_lp_suite(semigroup_new((3, 4)))])
 
 
 # --- catalog ---------------------------------------------------------------------------
