@@ -33,10 +33,8 @@ from .verify import (
     default_caps,
     emit_reports,
     reports_have_failures,
-    run_artinian_lp_suite,
     run_catalog,
-    run_identity_suite,
-    run_semigroup_lp_suite,
+    run_suites,
 )
 
 
@@ -268,16 +266,6 @@ def _run_op(kind: str, ring, args, caps) -> str:
     return result + "\n"
 
 
-def _run_suites(kind: str, ring, suite: str, caps) -> list:
-    reports = []
-    if suite in ("lp", "all"):
-        lp_suite = run_artinian_lp_suite if kind == "artinian" else run_semigroup_lp_suite
-        reports.append(lp_suite(ring, caps))
-    if suite in ("identities", "all"):
-        reports.append(run_identity_suite(ring, caps))
-    return reports
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -301,7 +289,7 @@ def run(argv=None) -> int:
             if args.op:
                 _emit(_run_op(spec.kind, ring, args, caps), args.out)
                 return 0
-            reports = _run_suites(spec.kind, ring, args.suite, caps)
+            reports = run_suites(ring, args.suite, caps)
         _emit(emit_reports(reports, args.fmt), args.out)
         return 1 if reports_have_failures(reports) else 0
     except SpecError as exc:

@@ -277,6 +277,22 @@ def generator_offsets(ideal: RelativeIdeal) -> list:
     return offsets
 
 
+def _sum_bits(bits: int, offsets) -> int:
+    """OR of bits << f over the offsets f."""
+    out = 0
+    for f in offsets:
+        out |= bits << f
+    return out
+
+
+def _colon_bits(bits: int, offsets) -> int:
+    """AND of bits >> f over the offsets f."""
+    out = -1
+    for f in offsets:
+        out &= bits >> f
+    return out
+
+
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     """{e + f}: the monomial form of the product of two modules.
 
@@ -284,10 +300,7 @@ def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     left, so the sum is the OR of left's bitset shifted by each of those f
     (at most the multiplicity of them)."""
     sgp = _same_semigroup(left, right)
-    bits = 0
-    for f in generator_offsets(right):
-        bits |= left.bits << f
-    return RelativeIdeal.from_members(sgp, bits, left.min + right.min)
+    return RelativeIdeal.from_members(sgp, _sum_bits(left.bits, generator_offsets(right)), left.min + right.min)
 
 
 def ideal_colon(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
@@ -299,10 +312,7 @@ def ideal_colon(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
     f = 0 is one of them, which forces y >= 0.
     """
     sgp = _same_semigroup(left, right)
-    bits = -1
-    for f in generator_offsets(right):
-        bits &= left.bits >> f
-    return RelativeIdeal.from_members(sgp, bits, left.min - right.min)
+    return RelativeIdeal.from_members(sgp, _colon_bits(left.bits, generator_offsets(right)), left.min - right.min)
 
 
 def dual(ideal: RelativeIdeal) -> RelativeIdeal:
@@ -311,8 +321,13 @@ def dual(ideal: RelativeIdeal) -> RelativeIdeal:
 
 
 def trace(ideal: RelativeIdeal) -> RelativeIdeal:
-    """(S - E) + E: the trace, via colon-times-module."""
-    return ideal_sum(dual(ideal), ideal)
+    """(S - E) + E: the trace, via colon-times-module.
+
+    Both steps shift by the minimal generators of E, found once.  Relative to
+    min(E), the dual is the colon bitset at offset -min(E), so the sum lands
+    at offset 0."""
+    offsets = generator_offsets(ideal)
+    return RelativeIdeal.from_members(ideal.sgp, _sum_bits(_colon_bits(ideal.sgp.bits, offsets), offsets), 0)
 
 
 def is_reflexive(ideal: RelativeIdeal) -> bool:

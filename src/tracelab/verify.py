@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import linalg, numsgp
 from .errors import EnumerationCapExceededError, SearchBudgetExceededError
@@ -151,21 +152,45 @@ _ARTINIAN_CONDITIONS = (
 )
 
 
-def _principal_traces(algebra, traces):
-    """(least generator, ideal, trace) for the principal ideals among the
-    (ideal, trace) pairs, in the order of their least generators."""
-    triples = [(algebra.least_generator(ideal), ideal, tr) for ideal, tr in traces]
-    return sorted((t for t in triples if t[0] is not None), key=lambda t: t[0])
+class IdealRecord(NamedTuple):
+    """One row of an artinian algebra's ideal table."""
+
+    ideal: IdealSubspace
+    trace: IdealSubspace
+    generator: tuple | None  # the least generator of a principal ideal, else None
 
 
-def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> VerificationReport:
+def ideal_table(algebra: FinAlgebra, cap_dim=None) -> list:
+    """One IdealRecord per ideal, in the order of algebra.enumerate_ideals.
+
+    Both artinian suites read it: `--suite all` and the catalog build it once
+    per algebra for both, a suite run alone builds its own.  enumerate_ideals
+    checks its caps before any work, so an algebra over a cap raises
+    EnumerationCapExceededError here before anything is traced.
+    """
+    ideals = algebra.enumerate_ideals(cap_dim)
+    return [IdealRecord(i, algebra.trace_ideal(i), algebra.least_generator(i)) for i in ideals]
+
+
+def _table_source(algebra, caps, table):
+    """What _suite enumerates for an artinian suite: the given table, or a new one."""
+    return (lambda: table) if table is not None else partial(ideal_table, algebra, caps["dim"])
+
+
+def _principal(table):
+    """The records of the principal ideals, in the order of their least generators."""
+    return sorted((r for r in table if r.generator is not None), key=lambda r: r.generator)
+
+
+def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None, table=None) -> VerificationReport:
     """Depth-zero classification suite.
 
     Evaluates, over every ideal: equality with its trace, isomorphism with its
     trace, the same two conditions for principal ideals only, and the socle
     criterion; then asserts the five-way equivalence of those conditions.  An
     isomorphism search over its budget skips both isomorphism conditions and
-    the equivalence.
+    the equivalence.  table is the algebra's ideal_table under caps["dim"],
+    or None to build one.
     """
     caps = caps or default_caps()
     report = VerificationReport(ring=algebra.label, suite="lp", caps=caps, verdict="undecided")
@@ -180,29 +205,28 @@ def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None) -> Veri
     def witness(ideal, tr):
         return {"ideal": algebra.format_ideal(ideal), "trace": algebra.format_ideal(tr)}
 
-    def unequal(pairs):
-        return lambda: _first(witness(ideal, tr) for ideal, tr in pairs if ideal != tr)
+    def unequal(records):
+        return lambda: _first(witness(ideal, tr) for ideal, tr, _ in records if ideal != tr)
 
-    def non_isomorphic(pairs):
+    def non_isomorphic(records):
         return lambda: _first(
-            witness(ideal, tr) for ideal, tr in pairs if not algebra.is_isomorphic(ideal, tr, caps["hom"])
+            witness(ideal, tr) for ideal, tr, _ in records if not algebra.is_isomorphic(ideal, tr, caps["hom"])
         )
 
-    def groups(ideals):
-        traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
-        principal = [(ideal, tr) for _, ideal, tr in _principal_traces(algebra, traces)]
+    def groups(table):
+        principal = _principal(table)
 
         def equivalence():
             conditions = [c.status == "pass" for c in report.checks]
             report.verdict = "holds" if conditions[3] else "fails"
-            return len(set(conditions)) == 1, {"conditions": conditions, "ideal_count": len(ideals)}
+            return len(set(conditions)) == 1, {"conditions": conditions, "ideal_count": len(table)}
 
-        outcomes = (gorenstein, unequal(traces), unequal(principal))
-        outcomes += (non_isomorphic(traces), non_isomorphic(principal), equivalence)
+        outcomes = (gorenstein, unequal(table), unequal(principal))
+        outcomes += (non_isomorphic(table), non_isomorphic(principal), equivalence)
         entries = [(name, anchor, outcome) for (name, anchor), outcome in zip(_ARTINIAN_CONDITIONS, outcomes)]
         return [[entry] for entry in entries[:3]] + [entries[3:]]
 
-    _suite(report.checks, lambda: algebra.enumerate_ideals(caps["dim"]), _ARTINIAN_CONDITIONS, groups)
+    _suite(report.checks, _table_source(algebra, caps, table), _ARTINIAN_CONDITIONS, groups)
     return report
 
 
@@ -228,21 +252,24 @@ def _annihilator_by_rows(algebra, ideal):
     return IdealSubspace(p, d, linalg.right_kernel(rows, d, p))
 
 
-def _artinian_identities(algebra, hom_cap, ideals):
+def _artinian_identities(algebra, hom_cap, table):
     """The groups of the artinian identity suite."""
     fmt = algebra.format_ideal
-    traces = [(ideal, algebra.trace_ideal(ideal)) for ideal in ideals]
+    ideals = [r.ideal for r in table]
+    trace_of = {r.ideal: r.trace for r in table}
 
     def contained():
-        return _first({"ideal": fmt(i)} for i, t in traces if not i.is_subspace_of(t))
+        return _first({"ideal": fmt(r.ideal)} for r in table if not r.ideal.is_subspace_of(r.trace))
 
     def idempotent():
-        return _first({"ideal": fmt(i)} for i, t in traces if algebra.trace_ideal(t) != t)
+        # tr(I) is an ideal, so its trace is in the table; one that is not
+        # there is no ideal, hence not its own trace.
+        return _first({"ideal": fmt(r.ideal)} for r in table if trace_of.get(r.trace) != r.trace)
 
     def double_annihilator():
         # Both sides depend only on the ideal (v), so the first element of the
         # all_elements order that fails is the least generator of its ideal.
-        for v, _, via_hom in _principal_traces(algebra, traces):
+        for _, via_hom, v in _principal(table):
             via_ann = algebra.trace_principal_via_ann(v)
             if via_hom != via_ann:
                 element = algebra.format_element(v)
@@ -273,7 +300,6 @@ def _artinian_identities(algebra, hom_cap, ideals):
 
     def same_trace():
         classes.extend(_isomorphism_classes(algebra, ideals, hom_cap))
-        trace_of = dict(traces)
         return _first(
             {"ideal": fmt(cls[0]), "isomorphic_ideal": fmt(other)}
             for cls in classes
@@ -300,7 +326,7 @@ def _artinian_identities(algebra, hom_cap, ideals):
         return algebra.product_ideal([f.trace_ideal(i) for f, i in parts])
 
     def factorization():
-        return _first({"ideal": fmt(ideal)} for ideal, tr in traces if tr != product_of_traces(ideal))
+        return _first({"ideal": fmt(ideal)} for ideal, tr, _ in table if tr != product_of_traces(ideal))
 
     if algebra.factors is not None:
         yield [("product-trace-factorization", "trace-of-a-product-is-the-product-of-traces", factorization)]
@@ -437,11 +463,13 @@ def _semigroup_identities(sgp, ideals):
     yield [("symmetry-gap-reflection-agreement", "canonical-translate-iff-gap-reflection", reflection)]
 
 
-def run_identity_suite(target, caps: dict | None = None) -> VerificationReport:
-    """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup."""
+def run_identity_suite(target, caps: dict | None = None, table=None) -> VerificationReport:
+    """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup.  For
+    a FinAlgebra, table is its ideal_table under caps["dim"], or None to
+    build one."""
     caps = caps or default_caps()
     if isinstance(target, FinAlgebra):
-        ideals = partial(target.enumerate_ideals, caps["dim"])
+        ideals = _table_source(target, caps, table)
         groups = partial(_artinian_identities, target, caps["hom"])
     elif isinstance(target, NumericalSemigroup):
         ideals = partial(enumerate_normalized_ideals, target, caps["gaps"])
@@ -528,6 +556,32 @@ def _coherence_report(label, lp, caps, carried, matches, witness):
     return report
 
 
+def run_suites(ring, suite: str = "all", caps: dict | None = None) -> list:
+    """The lp report, the identities report, or both ("all"), of one
+    FinAlgebra or NumericalSemigroup.
+
+    For "all" on a FinAlgebra both suites read one ideal_table.  When its
+    enumeration is over a cap, each suite raises that again and skips its own
+    checks.
+    """
+    caps = caps or default_caps()
+    if suite not in ("lp", "identities", "all"):
+        raise ValueError(f"unknown suite {suite!r}")
+    artinian = isinstance(ring, FinAlgebra)
+    table = None
+    if artinian and suite == "all":
+        try:
+            table = ideal_table(ring, caps["dim"])
+        except EnumerationCapExceededError:
+            pass
+    reports = []
+    if suite != "identities":
+        reports.append(run_artinian_lp_suite(ring, caps, table) if artinian else run_semigroup_lp_suite(ring, caps))
+    if suite != "lp":
+        reports.append(run_identity_suite(ring, caps, table))
+    return reports
+
+
 def run_catalog(suite: str = "all", caps: dict | None = None):
     """Run the requested suites over the built-in catalog.
 
@@ -537,27 +591,24 @@ def run_catalog(suite: str = "all", caps: dict | None = None):
     suites.
     """
     caps = caps or default_caps()
-    if suite not in ("lp", "identities", "all"):
-        raise ValueError(f"unknown suite {suite!r}")
     reports = []
     for label, algebra, expected in build_artinian_catalog():
-        if suite in ("lp", "all"):
-            lp = run_artinian_lp_suite(algebra, caps)
-            gor = next(c for c in lp.checks if c.name == "ring-is-artinian-gorenstein").status == "pass"
-            matches = lp.verdict == ("holds" if expected else "fails") and gor == expected
-            witness = {"expected_gorenstein": expected, "gorenstein": gor, "verdict": lp.verdict}
-            reports.append(_coherence_report(label, lp, caps, "five-way-equivalence", matches, witness))
-        if suite in ("identities", "all"):
-            reports.append(run_identity_suite(algebra, caps))
+        for report in run_suites(algebra, suite, caps):
+            if report.suite == "lp":
+                gor = next(c for c in report.checks if c.name == "ring-is-artinian-gorenstein").status == "pass"
+                matches = report.verdict == ("holds" if expected else "fails") and gor == expected
+                witness = {"expected_gorenstein": expected, "gorenstein": gor, "verdict": report.verdict}
+                report = _coherence_report(label, report, caps, "five-way-equivalence", matches, witness)
+            reports.append(report)
     for label, sgp, expected in build_semigroup_catalog():
-        if suite in ("lp", "all"):
-            lp = run_semigroup_lp_suite(sgp, caps)
-            expected_verdict = "monomial ideals pass" if expected else "counterexample found"
-            witness = {"expected": expected_verdict, "verdict": lp.verdict}
-            carried = "verdict-matches-multiplicity-classification"
-            reports.append(_coherence_report(label, lp, caps, carried, lp.verdict == expected_verdict, witness))
-        if suite in ("identities", "all"):
-            reports.append(run_identity_suite(sgp, caps))
+        for report in run_suites(sgp, suite, caps):
+            if report.suite == "lp":
+                expected_verdict = "monomial ideals pass" if expected else "counterexample found"
+                witness = {"expected": expected_verdict, "verdict": report.verdict}
+                carried = "verdict-matches-multiplicity-classification"
+                matches = report.verdict == expected_verdict
+                report = _coherence_report(label, report, caps, carried, matches, witness)
+            reports.append(report)
     if suite in ("identities", "all"):
         reports.append(run_identity_suite(catalog_product_algebra(), caps))
     return reports

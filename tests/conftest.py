@@ -2,7 +2,27 @@ import random
 
 import pytest
 
-from tracelab.finalg import algebra_from_presentation
+from tracelab.finalg import FinAlgebra, algebra_from_presentation
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*names): a dict that counts the calls of those FinAlgebra
+    methods from then on, for the rest of the test."""
+
+    def install(*names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(FinAlgebra, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(FinAlgebra, name, counted)
+        return counts
+
+    return install
 
 
 @pytest.fixture(scope="session")
@@ -44,9 +64,10 @@ def _binomial_presentation(rng):
     return p, variables, relations
 
 
-def _binomial_algebras(seed, count):
-    """Distinct local algebras F_p[vars]/(pure powers, one or two binomials),
-    small enough for the element sweep."""
+def _binomial_presentations(seed, count):
+    """(p, variables, relations, algebra) for distinct local algebras
+    F_p[vars]/(pure powers, one or two binomials), small enough for the
+    element sweep."""
     rng = random.Random(seed)
     out, labels = [], set()
     while len(out) < count:
@@ -54,8 +75,13 @@ def _binomial_algebras(seed, count):
         algebra = algebra_from_presentation(p, variables, relations)
         if algebra.dim <= BINOMIAL_MAX_DIM[p] and algebra.label not in labels:
             labels.add(algebra.label)
-            out.append(algebra)
+            out.append((p, variables, relations, algebra))
     return out
+
+
+def _binomial_algebras(seed, count):
+    """The algebras of _binomial_presentations(seed, count)."""
+    return [algebra for *_, algebra in _binomial_presentations(seed, count)]
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,13 @@ import time
 
 import pytest
 
+from conftest import _binomial_presentations
+
+from tracelab import cli
 from tracelab.cli import RingSpec, build_parser, parse_ring_spec, run
 from tracelab.errors import SpecError
-from tracelab.finalg import algebra_from_presentation
+from tracelab.finalg import FinAlgebra, algebra_from_presentation
+from tracelab.verify import ARTINIAN_CATALOG, catalog_product_algebra
 
 
 # --- ring spec parsing ------------------------------------------------------------
@@ -139,6 +143,73 @@ def test_artinian_suite_exit_one_with_witness(capsys):
 def test_semigroup_suite_pass_exit_zero(capsys):
     assert run(["semigroup", "--gens", "2,3", "--suite", "lp"]) == 0
     assert "monomial ideals pass" in capsys.readouterr().out
+
+
+def _artinian_document(p, variables, relations):
+    return json.dumps({"kind": "artinian", "field": p, "vars": list(variables), "relations": list(relations)})
+
+
+def _suites_alone_and_together(capsys, document, *flags):
+    """Exit codes and output of --suite all, and of --suite lp and --suite
+    identities run alone and joined as emit_reports joins two reports, in
+    JSON and in text; the two sides must be equal."""
+    for fmt in ("json", "text"):
+        runs = {}
+        for suite in ("lp", "identities", "all"):
+            code = run(["artinian", "--spec", document, "--suite", suite, "--format", fmt, *flags])
+            runs[suite] = code, capsys.readouterr().out
+        (lp_code, lp), (identities_code, identities) = runs["lp"], runs["identities"]
+        if fmt == "json":
+            reports = json.loads(lp)["reports"] + json.loads(identities)["reports"]
+            alone = json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
+        else:
+            alone = lp + "\n" + identities
+        assert runs["all"] == (max(lp_code, identities_code), alone), (document, fmt)
+    return runs
+
+
+CATALOG_PRESENTATIONS = [(p, variables, relations) for _, p, variables, relations, _ in ARTINIAN_CATALOG]
+
+
+def test_suite_all_prints_what_the_suites_print_alone(capsys):
+    presentations = CATALOG_PRESENTATIONS + [spec[:3] for spec in _binomial_presentations(seed=23, count=20)]
+    for presentation in presentations:
+        _suites_alone_and_together(capsys, _artinian_document(*presentation))
+
+
+def test_suite_all_on_the_catalog_product(capsys, monkeypatch):
+    product = catalog_product_algebra()
+    monkeypatch.setattr(cli, "algebra_from_presentation", lambda *args: product)
+    runs = _suites_alone_and_together(capsys, _artinian_document(2, ("x",), ("x^2",)))
+    assert "product-trace-factorization" in runs["all"][1]
+
+
+def test_suite_all_enumerates_and_traces_once(capsys, count_calls):
+    counts = count_calls("enumerate_ideals", "trace_ideal")
+    assert run(["artinian", "--spec", _artinian_document(2, ("x",), ("x^3",)), "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert counts == {"enumerate_ideals": 1, "trace_ideal": 4}  # 0, (x^2), (x) and R
+
+
+def test_suite_all_over_the_dimension_cap_skips_each_suites_checks(capsys):
+    for presentation in CATALOG_PRESENTATIONS[2:]:
+        runs = _suites_alone_and_together(capsys, _artinian_document(*presentation), "--cap-dim", "2")
+        code, out = runs["all"]
+        assert code == 0
+        assert out.count("[SKIP]") == 7  # the six lp conditions and identity-suite
+        assert "[SKIP] identity-suite  reason=dimension" in out
+
+
+def test_suite_all_shares_an_injected_trace_fault(capsys, monkeypatch):
+    original = FinAlgebra.trace_ideal
+    monkeypatch.setattr(
+        FinAlgebra, "trace_ideal", lambda self, ideal: self.unit_ideal() if ideal.dim else original(self, ideal)
+    )
+    runs = _suites_alone_and_together(capsys, _artinian_document(2, ("x",), ("x^3",)))
+    assert runs["lp"][0] == runs["identities"][0] == 1
+    out = runs["all"][1]
+    assert "[FAIL] every-ideal-equals-its-trace" in out
+    assert "[FAIL] principal-trace-equals-double-annihilator" in out
 
 
 def test_catalog_exit_zero_and_deterministic(tmp_path):

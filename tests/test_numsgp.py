@@ -225,6 +225,11 @@ def _ideal_colon_by_members(left, right):
     return RelativeIdeal.from_members(left.sgp, bits, left.min - right.min)
 
 
+def _trace_by_members(ideal):
+    """(S - E) + E through the member-wise colon and sum."""
+    return _ideal_sum_by_members(_ideal_colon_by_members(semigroup_as_ideal(ideal.sgp), ideal), ideal)
+
+
 def _single_ops_ideals(gens):
     """Translates of S + {0, g} and S + {0, g, g'} for gaps g, g' at the middle
     of the gap list, the ideals the one-shot --op jobs of the benchmark take,
@@ -246,6 +251,7 @@ S512 = semigroup_new((5, 12))
 def test_sum_and_colon_match_the_member_wise_oracle(sgp):
     ideals = enumerate_normalized_ideals(sgp)
     for left in ideals:
+        assert trace(left) == _trace_by_members(left), left
         for right in ideals:
             assert ideal_sum(left, right) == _ideal_sum_by_members(left, right), (left, right)
             assert ideal_colon(left, right) == _ideal_colon_by_members(left, right), (left, right)
@@ -262,6 +268,8 @@ def test_sum_and_colon_match_the_member_wise_oracle_on_translates_and_large_ring
     for left, right in pairs:
         assert ideal_sum(left, right) == _ideal_sum_by_members(left, right), (left, right)
         assert ideal_colon(left, right) == _ideal_colon_by_members(left, right), (left, right)
+    for e in {left for left, _ in pairs}:
+        assert trace(e) == _trace_by_members(e), e
 
 
 def test_generator_offsets_are_the_minimal_generators():

@@ -15,7 +15,8 @@ from tracelab.numsgp import (
 from tracelab.verify import (
     CheckResult,
     VerificationReport,
-    _principal_traces,
+    IdealRecord,
+    _principal,
     build_artinian_catalog,
     build_semigroup_catalog,
     catalog_product_algebra,
@@ -215,8 +216,8 @@ def _oracle_principal_ideals(algebra):
 
 def _suite_principal_ideals(algebra):
     """The (generator, ideal) list the artinian suites walk; traces are not needed here."""
-    traces = [(ideal, None) for ideal in algebra.enumerate_ideals()]
-    return [(g, ideal) for g, ideal, _ in _principal_traces(algebra, traces)]
+    table = [IdealRecord(ideal, None, algebra.least_generator(ideal)) for ideal in algebra.enumerate_ideals()]
+    return [(r.generator, r.ideal) for r in _principal(table)]
 
 
 def test_principal_ideals_match_the_element_sweep_on_the_catalog():
@@ -387,6 +388,16 @@ def test_catalog_run_is_green_and_deterministic():
     first = emit_reports(reports, "json")
     second = emit_reports(run_catalog("all"), "json")
     assert first == second
+
+
+def test_catalog_enumerates_and_traces_each_artinian_ring_once(count_calls):
+    counts = count_calls("enumerate_ideals", "trace_ideal")
+    run_catalog("all")
+    # One enumeration per catalog ring, and one for the product and each of
+    # its two factors.  Each of the 67 ideals of the catalog rings and the 6
+    # of the product is traced once, and each of the product's twice more
+    # through its factors (product-trace-factorization).
+    assert counts == {"enumerate_ideals": 13, "trace_ideal": 67 + 6 + 12}
 
 
 def test_catalog_lp_only():
