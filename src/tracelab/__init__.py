@@ -31,6 +31,7 @@ from .numsgp import (
     endo_semigroup,
     enumerate_normalized_ideals,
     filtration_length,
+    filtration_lengths,
     ideal_colon,
     ideal_from_gens,
     ideal_sum,

@@ -20,7 +20,7 @@ from .errors import (
     SearchBudgetExceededError,
     StructureError,
 )
-from .polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
+from .polyfp import Divisors, Polynomial, PrimeField, buchberger, mon_mul, mon_text, normal_form, standard_monomials
 
 DEFAULT_HOM_CAP_EXPONENT = 22  # isomorphism search allows at most 2**22 candidate maps
 SWEEP_BUDGET = 2**19  # enumerate_ideals visits at most this many subspaces of one local algebra
@@ -100,6 +100,33 @@ def _is_basis_vector(v):
     return v.count(0) == len(v) - 1 and 1 in v
 
 
+def _identity(d):
+    """The d x d identity matrix, its rows sliced from one tuple."""
+    one = (0,) * (d - 1) + (1,) + (0,) * (d - 1)
+    return tuple(one[d - 1 - i : 2 * d - 1 - i] for i in range(d))
+
+
+_ZERO, _OTHER = -1, -2  # row kinds besides j, the kind of the unit row e_j
+
+
+def _row_kinds(matrix):
+    """Per row of the matrix: j for the unit row e_j, _ZERO for a zero row, else _OTHER."""
+    kinds = []
+    for row in matrix:
+        nonzero = len(row) - row.count(0)
+        kinds.append(_ZERO if not nonzero else row.index(1) if nonzero == 1 and 1 in row else _OTHER)
+    return kinds
+
+
+def _times(left, kinds, right, p):
+    """The product left*right, given kinds = _row_kinds(left): row j of right
+    for a unit row e_j, one shared zero row for a zero row, else linalg.combine."""
+    zero = (0,) * len(right[0])
+    return tuple(
+        right[k] if k >= 0 else zero if k == _ZERO else linalg.combine(row, right, p) for row, k in zip(left, kinds)
+    )
+
+
 class FinAlgebra:
     """Finite-dimensional commutative F_p-algebra with a fixed basis.
 
@@ -155,16 +182,30 @@ class FinAlgebra:
 
     def _validate(self):
         """Derive the table from the generators, and check a table passed in
-        against it: about n^2*d + 2*d^2 row operations for n generators.
+        against it: at most about n^2*d + 2*d^2 row operations for n
+        generators, fewer where rows are unit or zero rows.
 
         M_a denotes the multiplication matrix of a, whose row i is e_i*a.  A
         table passed in must be commutative with M_1 the identity.  The
         generators' matrices must commute pairwise.  Then a basis v_k is grown
         from 1 breadth first: each v = g(w), for w in the basis and g a
-        generator, that enlarges the span joins it with M_v = M_w*G.  The span
-        must reach the whole algebra.  Table row m is M_v when v = e_m, and
-        else sum_k c_k*M_{v_k} for e_m = sum_k c_k*v_k, c row m of the
-        inverse of the matrix with rows v_k.
+        generator, that enlarges the span joins it with M_v = G*M_w, which is
+        M_w*G as the generators commute.  A product of matrices takes row j of
+        the right factor for a unit row e_j of the left one and a shared zero
+        row for a zero row, and combines only the other rows.  The span must
+        reach the whole algebra.  Table row m is M_v when v = e_m, and else
+        sum_k c_k*M_{v_k} for e_m = sum_k c_k*v_k, c row m of the inverse of
+        the matrix with rows v_k.
+
+        Which candidates enlarge the span is decided exactly without
+        linalg.extend where the walk already knows the answer.  A candidate
+        equal to one tried before lies in the span, so it is skipped.  While
+        every basis vector is a coordinate vector e_c, the span is the
+        coordinate subspace on their indices c, so a coordinate candidate e_c
+        enlarges it exactly when c is not among them; only the other
+        candidates go through linalg.extend, and once one of them joins, all
+        do.  The basis, and so the table, is the one that extending by every
+        candidate gives.
 
         The derived table is commutative and associative with unit 1, and
         each g is multiplication by g(1).  Let C be the commutative matrix
@@ -184,25 +225,44 @@ class FinAlgebra:
         """
         d, p = self.dim, self.field.p
         given, generators = self.table, self.generators
-        identity = tuple(self.basis_vector(i) for i in range(d))
+        identity = _identity(d)
         if given is not None:
             if tuple(zip(*given)) != given:
                 raise StructureError("multiplication table is not commutative")
             if tuple(self.action(self.unit)) != identity:
                 raise StructureError("unit does not act as the identity")
         broken = "multiplication table is not associative, or a generator is not multiplication by its value at 1"
+        kinds = [_row_kinds(g) for g in generators]
         for k, g in enumerate(generators):
-            for h in generators[:k]:
-                if any(linalg.combine(gm, h, p) != linalg.combine(hm, g, p) for gm, hm in zip(g, h)):
+            for h, h_kinds in zip(generators[:k], kinds):
+                if _times(g, kinds[k], h, p) != _times(h, h_kinds, g, p):
                     raise StructureError(broken)
-        echelon, pivots = [], []
+        echelon, pivots, tried = [], [], set()
+        coordinate = True  # every basis vector so far is a coordinate vector e_c
+
+        def enlarges(v):
+            nonlocal coordinate
+            if v in tried:
+                return False
+            tried.add(v)
+            if coordinate and _is_basis_vector(v):
+                c = v.index(1)
+                if c in pivots:
+                    return False
+                echelon.append(v)
+                pivots.append(c)
+                return True
+            grew = linalg.extend(echelon, pivots, v, p)
+            coordinate = coordinate and not grew
+            return grew
+
         # (v, M_v) for the basis vectors; the list grows while it is walked
-        basis = [(self.unit, identity)] if linalg.extend(echelon, pivots, self.unit, p) else []
+        basis = [(self.unit, identity)] if enlarges(self.unit) else []
         for w, action in basis:
-            for g in generators:
+            for g, g_kinds in zip(generators, kinds):
                 v = linalg.combine(w, g, p)
-                if linalg.extend(echelon, pivots, v, p):
-                    basis.append((v, tuple(linalg.combine(row, g, p) for row in action)))
+                if enlarges(v):
+                    basis.append((v, _times(g, g_kinds, action, p)))
         if len(basis) < d:
             raise StructureError("generators do not generate the algebra")
         rows = {v.index(1): action for v, action in basis if _is_basis_vector(v)}
@@ -247,7 +307,8 @@ class FinAlgebra:
         while reach < d:
             rows = [linalg.combine(row, frobenius, p) for row in rows]
             reach *= p
-        return IdealSubspace(p, d, linalg.right_kernel(list(zip(*rows)), d, p))
+        # only the nonzero equations: on a local algebra F^k has rank 1
+        return IdealSubspace(p, d, linalg.right_kernel([c for c in zip(*rows) if any(c)], d, p))
 
     # -- elements ----------------------------------------------------------
 
@@ -701,18 +762,22 @@ def algebra_from_presentation(p, variables, relations, label=None) -> FinAlgebra
             raise NotLocalError("relations generate the unit ideal: the quotient is the zero ring")
     d = len(mons)
     index = {m: k for k, m in enumerate(mons)}
-    identity = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+    identity = _identity(d)
+    divisors = Divisors(groebner) if groebner else None
 
     def vector(mon):
         if mon in index:
             return identity[index[mon]]
-        terms = normal_form(Polynomial(field, variables, {mon: 1}), groebner).terms
-        return tuple(terms.get(m, 0) for m in mons)
+        # the remainder's monomials are standard
+        row = [0] * d
+        for m, c in normal_form(Polynomial(field, variables, {mon: 1}), divisors).terms.items():
+            row[index[m]] = c
+        return tuple(row)
 
     steps = [tuple(int(i == v) for i in range(len(variables))) for v in range(len(variables))]
     matrices = [[vector(mon_mul(m, step)) for m in mons] for step in steps]
 
-    labels = [Polynomial(field, variables, {m: 1}).to_text() if sum(m) else "1" for m in mons]
+    labels = [mon_text(variables, m) for m in mons]
     # the standard variables generate the algebra: each non-constant standard
     # monomial is one of them times a standard monomial; mons[0] is 1
     generators = [matrices[v] for v, step in enumerate(steps) if step in index]
@@ -752,8 +817,7 @@ def product_algebra(left: FinAlgebra, right: FinAlgebra) -> FinAlgebra:
     off = 0
     for f in factors:
         # each factor's generators, and its idempotent, whose action is the identity block
-        identity = [f.basis_vector(m) for m in range(f.dim)]
-        generators.extend(_in_block(g, off, d) for g in (*f.generators, identity))
+        generators.extend(_in_block(g, off, d) for g in (*f.generators, _identity(f.dim)))
         unit.extend(f.unit)
         off += f.dim
     return FinAlgebra(

@@ -433,8 +433,16 @@ def filtration_length(sgp: NumericalSemigroup, n: int) -> int:
     """Length of R modulo the (n+1)-st power of the maximal ideal."""
     if n < 0:
         raise StructureError("power index must be non-negative")
+    return filtration_lengths(sgp, n + 1)[n]
+
+
+def filtration_lengths(sgp: NumericalSemigroup, count: int) -> list:
+    """filtration_length(sgp, n) for n < count, keeping each power of the
+    maximal ideal m, so m^(n+2) = m^(n+1) + m is one ideal_sum."""
     m = maximal_ideal(sgp)
-    power = m
-    for _ in range(n):
-        power = ideal_sum(power, m)
-    return colength(sgp, power)
+    lengths, power = [], m
+    for n in range(count):
+        if n:
+            power = ideal_sum(power, m)
+        lengths.append(colength(sgp, power))
+    return lengths

@@ -16,6 +16,7 @@ Whitespace is ignored everywhere.
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 
 from .errors import (
@@ -84,18 +85,18 @@ class PrimeField:
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def mon_div(b: Monomial, a: Monomial) -> Monomial:
     """Exponent vector of b/a; caller guarantees a divides b."""
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(operator.sub, b, a))
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mon_degree(m: Monomial) -> int:
     return sum(m)
@@ -105,6 +106,11 @@ def mon_coprime(a: Monomial, b: Monomial) -> bool:
     return not any(x and y for x, y in zip(a, b))
 
 
+def mon_text(variables, m: Monomial) -> str:
+    """The monomial as text, x^2*y for (2, 1) over (x, y), and 1 for the unit."""
+    return "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(variables, m) if e) or "1"
+
+
 def display_key(m: Monomial):
     """Graded key used for human-facing monomial sequences (1, x, y, x^2, ...)."""
     return (sum(m), tuple(reversed(m)))
@@ -112,7 +118,7 @@ def display_key(m: Monomial):
 
 def degrevlex(m: Monomial):
     """Sort key of the degree reverse lexicographic order, the one term order."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(operator.neg, reversed(m))))
 
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -249,13 +255,12 @@ class Polynomial:
         parts = []
         for mon in sorted(self.terms, key=degrevlex, reverse=True):
             c = self.terms[mon]
-            factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(self.variables, mon) if e]
-            if not factors:
+            if not any(mon):
                 parts.append(str(c))
             elif c == 1:
-                parts.append("*".join(factors))
+                parts.append(mon_text(self.variables, mon))
             else:
-                parts.append("*".join([str(c)] + factors))
+                parts.append(f"{c}*{mon_text(self.variables, mon)}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -272,25 +277,40 @@ def _check_family(polys):
     return polys
 
 
+class Divisors:
+    """A reduction basis made ready for normal_form, so that many polynomials
+    are divided by it at the cost of one check of its ring: its first element,
+    which stands for the ring, and per nonzero element the leading monomial,
+    the inverse of the leading coefficient and the terms."""
+
+    __slots__ = ("first", "reducers")
+
+    def __init__(self, basis):
+        if not basis:
+            raise StructureError("empty reduction basis")
+        basis = _check_family(basis)
+        self.first = basis[0]
+        self.reducers = [(g.leading()[0], g.field.inv(g.leading()[1]), g.terms) for g in basis if not g.is_zero()]
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f on division by the basis.
+    """Remainder of f on division by the basis, a sequence of polynomials or
+    their Divisors.
 
     No remainder term is divisible by a leading monomial of the basis, and
     f minus the remainder lies in the ideal the basis generates.  The reducer
     is chosen deterministically (first match in basis order).
     """
-    basis = _check_family([f] + list(basis))[1:]
-    if not basis:
-        raise StructureError("empty reduction basis")
+    divisors = basis if isinstance(basis, Divisors) else Divisors(list(basis))
+    f._check_compatible(divisors.first)
     p = f.field.p
-    reducers = [(g.leading(), g.terms) for g in basis if not g.is_zero()]
     work = dict(f.terms)
     remainder = {}
     while work:
         mon = max(work, key=degrevlex)
-        for (lead, lead_c), terms in reducers:
+        for lead, inverse, terms in divisors.reducers:
             if mon_divides(lead, mon):
-                factor = work[mon] * f.field.inv(lead_c) % p
+                factor = work[mon] * inverse % p
                 shift = mon_div(mon, lead)
                 for m, c in terms.items():
                     t = mon_mul(m, shift)

@@ -24,7 +24,7 @@ from .numsgp import (
     canonical_ideal,
     dual,
     enumerate_normalized_ideals,
-    filtration_length,
+    filtration_lengths,
     ideal_colon,
     ideal_sum,
     is_reflexive,
@@ -321,11 +321,17 @@ def _artinian_identities(algebra, hom_cap, table):
         ("hom-dimension-isomorphism-invariance", "hom-spaces-see-only-the-isomorphism-class", same_hom_dimension),
     ]
 
-    def product_of_traces(ideal):
-        parts = zip(algebra.local_factors(), algebra.factor_ideals(ideal))
-        return algebra.product_ideal([f.trace_ideal(i) for f, i in parts])
-
     def factorization():
+        traced = {}  # (factor index, factor ideal) -> its trace: the products repeat each factor ideal
+
+        def product_of_traces(ideal):
+            factors, parts = algebra.local_factors(), []
+            for k, part in enumerate(algebra.factor_ideals(ideal)):
+                if (k, part) not in traced:
+                    traced[k, part] = factors[k].trace_ideal(part)
+                parts.append(traced[k, part])
+            return algebra.product_ideal(parts)
+
         return _first({"ideal": fmt(ideal)} for ideal, tr, _ in table if tr != product_of_traces(ideal))
 
     if algebra.factors is not None:
@@ -446,7 +452,7 @@ def _semigroup_identities(sgp, ideals):
         return ok, {"multiplicity": e_mult, "symmetric": symmetric, "m2_translate": square_translate}
 
     def growth():
-        lengths = [filtration_length(sgp, n) for n in range(0, sgp.conductor + e_mult + 3)]
+        lengths = filtration_lengths(sgp, sgp.conductor + e_mult + 3)
         diffs = [b - a for a, b in zip(lengths, lengths[1:])]
         ok = lengths[0] == 1 and len(diffs) >= 2 and diffs[-1] == e_mult and diffs[-2] == e_mult
         return ok, {"lengths": lengths, "multiplicity": e_mult}

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import _binomial_presentations
 
-from tracelab import cli
+from tracelab import cli, finalg, linalg, polyfp
 from tracelab.cli import RingSpec, build_parser, parse_ring_spec, run
 from tracelab.errors import SpecError
 from tracelab.finalg import FinAlgebra, algebra_from_presentation
@@ -189,6 +190,26 @@ def test_suite_all_enumerates_and_traces_once(capsys, count_calls):
     assert run(["artinian", "--spec", _artinian_document(2, ("x",), ("x^3",)), "--suite", "all"]) == 0
     capsys.readouterr()
     assert counts == {"enumerate_ideals": 1, "trace_ideal": 4}  # 0, (x^2), (x) and R
+
+
+def test_a_repeated_op_does_the_same_work(capsys, monkeypatch):
+    """No state survives a cli.run call: the second of two equal artinian
+    --op trace runs divides, extends and combines exactly as often as the
+    first.  A cache kept between calls would make an in-process benchmark read
+    faster than a one-shot process."""
+    calls = collections.Counter()
+    for module, name in ((polyfp, "normal_form"), (finalg, "normal_form"), (linalg, "extend"), (linalg, "combine")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _o=original, _n=name: calls.update([_n]) or _o(*args))
+    spec = _artinian_document(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert run(["artinian", "--spec", spec, "--op", "trace", "--ideal-gens", "x*y"]) == 0
+        runs.append(dict(calls))
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+    assert runs[0] == runs[1] and set(runs[0]) == {"normal_form", "extend", "combine"}, runs
 
 
 def test_suite_all_over_the_dimension_cap_skips_each_suites_checks(capsys):

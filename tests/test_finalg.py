@@ -3,8 +3,11 @@ import itertools
 import math
 import random
 import time
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelab.errors import (
     EnumerationCapExceededError,
@@ -21,6 +24,7 @@ from tracelab.numsgp import semigroup_new
 from tracelab.polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
 from tracelab.verify import ARTINIAN_CATALOG, build_artinian_catalog, catalog_product_algebra
 
+from conftest import _binomial_presentations
 from test_apery import apery_algebra
 
 
@@ -451,7 +455,9 @@ def test_presentation_takes_one_normal_form_per_variable_and_basis_monomial(monk
         m for m in itertools.product(range(4), repeat=3) if max(m) == 3 and sum(e == 3 for e in m) == 1
     )
     # the breadth-first walk builds the table and the Frobenius powers derive
-    # the radical: 1,053 row combinations (1,026 with a power loop per
+    # the radical: 189 row combinations now that the walk reuses unit and
+    # zero rows (test_the_walk_pays_extend_only_off_the_coordinate_span);
+    # 1,053 when it combined every row (1,026 with a power loop per
     # variable in place of the Frobenius powers, 1,728 when the table was
     # built first and the walk compared against it, 5,427 with the
     # associativity loop and a span rref per degree)
@@ -536,6 +542,173 @@ def test_derived_tables_match_the_oracles_through_a_change_of_basis(monkeypatch,
         assert product.table == _oracle_product_table(left, right), product.label
         assert product.radical() == _blockwise_radical(product), product.label
         assert _walk_solves(monkeypatch, product) == 1
+
+
+def _oracle_walk(self):
+    """FinAlgebra._validate before its walk knew any answer in advance: every
+    candidate g(w) goes through linalg.extend, tried or not, and M_v = M_w*G
+    and the commute check combine every row."""
+    d, p = self.dim, self.field.p
+    given, generators = self.table, self.generators
+    identity = tuple(self.basis_vector(i) for i in range(d))
+    if given is not None:
+        if tuple(zip(*given)) != given:
+            raise StructureError("multiplication table is not commutative")
+        if tuple(self.action(self.unit)) != identity:
+            raise StructureError("unit does not act as the identity")
+    broken = "multiplication table is not associative, or a generator is not multiplication by its value at 1"
+    for k, g in enumerate(generators):
+        for h in generators[:k]:
+            if any(linalg.combine(gm, h, p) != linalg.combine(hm, g, p) for gm, hm in zip(g, h)):
+                raise StructureError(broken)
+    echelon, pivots = [], []
+    basis = [(self.unit, identity)] if linalg.extend(echelon, pivots, self.unit, p) else []
+    for w, action in basis:
+        for g in generators:
+            v = linalg.combine(w, g, p)
+            if linalg.extend(echelon, pivots, v, p):
+                basis.append((v, tuple(linalg.combine(row, g, p) for row in action)))
+    if len(basis) < d:
+        raise StructureError("generators do not generate the algebra")
+    rows = {v.index(1): action for v, action in basis if finalg._is_basis_vector(v)}
+    if len(rows) < d:
+        inverse = linalg.rref([v + e for (v, _), e in zip(basis, identity)], p)[0]
+        flat = [tuple(itertools.chain.from_iterable(action)) for _, action in basis]
+        for m in range(d):
+            if m not in rows:
+                entries = linalg.combine(inverse[m][d:], flat, p)
+                rows[m] = tuple(entries[i * d : (i + 1) * d] for i in range(d))
+    table = tuple(rows[m] for m in range(d))
+    if given is not None and table != given:
+        raise StructureError(broken)
+    self.table = table
+
+
+def _both_walks(build):
+    """(new, old, extended): build() under FinAlgebra._validate and under
+    _oracle_walk, each the algebra or the (type, text) of the error it
+    raised, and the linalg.extend calls on a nonzero vector in the first."""
+    extended = []
+    extend = linalg.extend
+
+    def counted(echelon, pivots, vec, p):
+        extended.append(any(vec))
+        return extend(echelon, pivots, vec, p)
+
+    def outcome():
+        try:
+            return build()
+        except TraceLabError as exc:
+            return type(exc), str(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "extend", counted)
+        new = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FinAlgebra, "_validate", _oracle_walk)
+        old = outcome()
+    return new, old, sum(extended)
+
+
+def _assert_same_algebra(new, old, case):
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        assert new == old, case
+        return
+    for attr in ("table", "generators", "unit", "basis_labels", "label"):
+        assert getattr(new, attr) == getattr(old, attr), (attr, case)
+    assert new.radical() == old.radical(), case
+
+
+APERY_SEMIGROUPS = ((2, 3), (2, 5), (3, 4), (3, 5), (3, 4, 5), (3, 7, 8), (4, 5), (4, 6, 7), (4, 5, 6, 7), (5, 6), (5, 7, 9))
+
+
+def _presented_product(left, right):
+    return product_algebra(algebra_from_presentation(*left), algebra_from_presentation(*right))
+
+
+def _rebased(presentation, seed):
+    """The presented algebra in the random basis b_i = sum_j P[i][j]*e_j,
+    with its table, unit and generators rewritten in that basis: its unit is
+    seldom a coordinate vector, so the walk leaves the coordinate span at
+    once, and a candidate e_c may lie outside the span though c is a pivot."""
+    algebra = algebra_from_presentation(*presentation)
+    rng, d, p = random.Random(seed), algebra.dim, algebra.field.p
+    P = ()
+    while linalg.rank(P, p) < d:
+        P = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(d)]
+    # rref(P | I) = (I | P^-1)
+    inverse = [row[d:] for row in linalg.rref([row + algebra.basis_vector(i) for i, row in enumerate(P)], p)[0]]
+
+    def rebase(vec):
+        return linalg.combine(vec, inverse, p)
+
+    table = [[rebase(algebra.mul(u, v)) for v in P] for u in P]
+    generators = [[rebase(linalg.combine(u, g, p)) for u in P] for g in algebra.generators]
+    return FinAlgebra(algebra.field, algebra.basis_labels, table, rebase(algebra.unit), generators=generators)
+
+
+def test_the_walk_matches_the_extend_every_candidate_oracle():
+    # the catalog and its product, the seeded binomial algebras and their
+    # same-field products, the change-of-basis presentations and the bare
+    # Apery tables; tables, generators, units, labels and radicals agree
+    rng = random.Random(1807)
+    binomial = _binomial_presentations(seed=11, count=30)
+    builds = [partial(algebra_from_presentation, p, v, r) for _, p, v, r, _ in ARTINIAN_CATALOG]
+    builds.append(catalog_product_algebra)
+    builds += [partial(algebra_from_presentation, p, v, r) for p, v, r, _ in binomial]
+    builds += [partial(_presented_product, a[:3], b[:3]) for a, b in zip(binomial, binomial[1:]) if a[0] == b[0]]
+    builds += [partial(algebra_from_presentation, *_seeded_change_of_basis_presentation(rng)) for _ in range(40)]
+    builds += [partial(apery_algebra, semigroup_new(gens), p) for gens in APERY_SEMIGROUPS for p in (2, 3)]
+    builds += [partial(_rebased, (p, v, r), seed) for seed, (p, v, r, _) in enumerate(binomial[:20])]
+    paths = collections.Counter()
+    for build in builds:
+        new, old, extended = _both_walks(build)
+        _assert_same_algebra(new, old, build)
+        paths["extend" if extended else "coordinates only"] += 1
+    # products, whose unit is no basis vector, and changes of basis take
+    # linalg.extend; monomial presentations and Apery tables never do
+    assert len(builds) >= 100 and min(paths.values()) >= 30, paths
+
+
+@st.composite
+def _generated_presentations(draw):
+    """The cube of each of 1-3 variables and one or two binomials in
+    monomials of degree 2, over F_2, F_3, F_5, F_101 and F_(2^61 - 1)."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 2**61 - 1)))
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    monomials = [f"{u}*{v}" for u, v in itertools.combinations_with_replacement(variables, 2)]
+    relations = [f"{v}^3" for v in variables]
+    for _ in range(draw(st.integers(1, 2))):
+        left, right = draw(st.sampled_from(monomials)), draw(st.sampled_from(monomials))
+        relations.append(f"{left} + {draw(st.integers(1, p - 1))}*{right}")
+    return p, variables, tuple(relations)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_generated_presentations())
+def test_the_walk_matches_the_oracle_on_generated_presentations(case):
+    new, old, _ = _both_walks(partial(algebra_from_presentation, *case))
+    _assert_same_algebra(new, old, case)
+
+
+def test_the_walk_pays_extend_only_off_the_coordinate_span():
+    """F_2[x,y,z]/(x^3,y^3,z^3): 81 candidates, 27 distinct, all coordinate
+    vectors or zero.  The whole construction spends one linalg.extend, on the
+    zero vector, and 189 row combinations (81 candidates, 108 in the radical);
+    the oracle walk spends 82 and 1,053."""
+
+    def work(validate):
+        calls = collections.Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("extend", "combine"):
+                original = getattr(linalg, name)
+                patch.setattr(linalg, name, lambda *args, _o=original, _n=name: calls.update([_n]) or _o(*args))
+            patch.setattr(FinAlgebra, "_validate", validate)
+            algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))
+        return dict(calls)
+
+    assert work(FinAlgebra._validate) == {"extend": 1, "combine": 189}
+    assert work(_oracle_walk) == {"extend": 82, "combine": 1053}
 
 
 def test_presentations_past_the_caps_are_refused_before_the_work():

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from tracelab import numsgp
 from tracelab.errors import (
     EnumerationCapExceededError,
     NotNumericalSemigroupError,
@@ -19,6 +20,7 @@ from tracelab.numsgp import (
     endo_semigroup,
     enumerate_normalized_ideals,
     filtration_length,
+    filtration_lengths,
     generator_offsets,
     ideal_colon,
     ideal_from_gens,
@@ -505,6 +507,22 @@ def test_filtration_growth_rate_is_multiplicity():
         diffs = [b - a for a, b in zip(lengths, lengths[1:])]
         assert lengths[0] == 1
         assert diffs[-1] == e and diffs[-2] == e
+
+
+def test_filtration_lengths_keep_each_power(monkeypatch):
+    for sgp in CATALOG:
+        count = sgp.conductor + sgp.multiplicity + 3
+        assert filtration_lengths(sgp, count) == [filtration_length(sgp, n) for n in range(count)]
+    assert filtration_lengths(S34, 0) == []
+    # <2,1001>, genus 500: one ideal_sum per power past m, where rebuilding
+    # each power from m took (c + e)^2 / 2, about 505,000
+    sums = []
+    monkeypatch.setattr(numsgp, "ideal_sum", lambda left, right: sums.append(1) or ideal_sum(left, right))
+    sgp = semigroup_new((2, 1001))
+    count = sgp.conductor + sgp.multiplicity + 3
+    lengths = filtration_lengths(sgp, count)
+    assert len(sums) == count - 1 == 1004
+    assert lengths[0] == 1 and lengths[-1] - lengths[-2] == lengths[-2] - lengths[-3] == 2
 
 
 def test_colength_examples():

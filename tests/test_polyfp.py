@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tracelab import finalg, polyfp
 from tracelab.errors import NotZeroDimensionalError, PolynomialSyntaxError, StructureError
 from tracelab.polyfp import (
+    Divisors,
     Polynomial,
     PRIME_LIMIT,
     TABLE_CAP_DIM,
@@ -199,6 +200,23 @@ def test_normal_form_remainder_contract():
         for mon in r.terms:
             assert not any(mon_divides(g.leading()[0], mon) for g in basis)
         assert normal_form(f - r, groebner).is_zero()
+
+
+def test_normal_form_by_prepared_divisors_keeps_the_contract():
+    # a non-monic basis over F_5, prepared once and divided by many times
+    f5 = PrimeField(5)
+    basis = [Polynomial.parse(f5, XY, t) for t in ("3*x^2 + y", "2*y^2 + 4*x*y", "4*x*y + x")]
+    divisors, groebner = Divisors(basis), buchberger(basis)
+    for chosen in itertools.combinations([(i, j) for i in range(3) for j in range(3)], 3):
+        f = Polynomial(f5, XY, {m: k + 1 for k, m in enumerate(chosen)})
+        r = normal_form(f, divisors)
+        assert r == normal_form(f, basis)
+        assert not any(mon_divides(g.leading()[0], mon) for g in basis for mon in r.terms)
+        assert normal_form(f - r, groebner).is_zero()
+    with pytest.raises(StructureError):
+        normal_form(poly("x"), divisors)  # over F_2
+    with pytest.raises(StructureError):
+        Divisors([])
 
 
 def test_normal_form_idempotent():

@@ -222,7 +222,7 @@ def _semigroup_faults():
     yield "never-translate", s23, ("lp", "identities"), {}, [patch("is_translate", value(TranslationWitness(None)))]
     yield "always-translate", s34, ("lp", "identities"), {}, [patch("is_translate", value(TranslationWitness(0)))]
     yield "linear-filtration", s34, ("identities",), {}, [
-        patch("filtration_length", lambda original: lambda sgp, n: n)
+        patch("filtration_lengths", lambda original: lambda sgp, count: list(range(count)))
     ]
     yield "symmetry-flipped", s345, ("identities",), {}, [
         patch("is_symmetric", lambda original: lambda sgp: not original(sgp))

@@ -395,9 +395,10 @@ def test_catalog_enumerates_and_traces_each_artinian_ring_once(count_calls):
     run_catalog("all")
     # One enumeration per catalog ring, and one for the product and each of
     # its two factors.  Each of the 67 ideals of the catalog rings and the 6
-    # of the product is traced once, and each of the product's twice more
-    # through its factors (product-trace-factorization).
-    assert counts == {"enumerate_ideals": 13, "trace_ideal": 67 + 6 + 12}
+    # of the product is traced once, and each of the 5 distinct ideals of the
+    # product's two factors once more (product-trace-factorization), where
+    # tracing both components of each of the 6 product ideals took 12.
+    assert counts == {"enumerate_ideals": 13, "trace_ideal": 67 + 6 + 5}
 
 
 def test_catalog_lp_only():
