@@ -31,7 +31,7 @@ from .numsgp import (
 from .polyfp import PrimeField
 from .verify import (
     default_caps,
-    emit_reports,
+    report_chunks,
     reports_have_failures,
     run_catalog,
     run_suites,
@@ -244,15 +244,19 @@ def _caps_from_args(args) -> dict:
     return caps
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise SpecError("bad-schema", f"cannot write report file {out_path!r}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out_path):
+    """Write the chunks, one by one, to stdout or to the file out_path, which
+    is opened before the first chunk is made."""
+    if not out_path:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except OSError as exc:
+        raise SpecError("bad-schema", f"cannot write report file {out_path!r}: {exc}") from exc
 
 
 def _run_op(kind: str, ring, args, caps) -> str:
@@ -287,10 +291,10 @@ def run(argv=None) -> int:
             else:
                 ring = semigroup_new(spec.generators)
             if args.op:
-                _emit(_run_op(spec.kind, ring, args, caps), args.out)
+                _emit((_run_op(spec.kind, ring, args, caps),), args.out)
                 return 0
             reports = run_suites(ring, args.suite, caps)
-        _emit(emit_reports(reports, args.fmt), args.out)
+        _emit(report_chunks(reports, args.fmt), args.out)
         return 1 if reports_have_failures(reports) else 0
     except SpecError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

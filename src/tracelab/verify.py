@@ -46,7 +46,7 @@ def default_caps() -> dict:
     return {"dim": None, "gaps": numsgp.DEFAULT_GAP_CAP, "hom": DEFAULT_HOM_CAP_EXPONENT}
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "skipped"
@@ -83,6 +83,8 @@ class VerificationReport:
         return any(c.status == "fail" for c in self.checks)
 
     def to_dict(self):
+        """The report's JSON structure.  report_chunks writes the same
+        document from the fields, without building this dict."""
         return {
             "ring": self.ring,
             "suite": self.suite,
@@ -669,23 +671,45 @@ def _to_json(obj, depth=0):
     return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
 
 
-def emit_report(report: VerificationReport, fmt: str = "text") -> str:
-    """The report as text or JSON.  The JSON is byte-identical to
-    json.dumps(report.to_dict(), indent=2, sort_keys=True) plus a newline."""
-    if fmt == "json":
-        return _to_json(report.to_dict()) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"ring: {report.ring}", f"suite: {report.suite}"]
-    if report.verdict is not None:
-        lines.append(f"verdict: {report.verdict}")
-    lines.append(
-        "caps: dim={dim} gaps={gaps} hom={hom}".format(
-            dim="default" if report.caps.get("dim") is None else report.caps["dim"],
-            gaps=report.caps.get("gaps"),
-            hom=report.caps.get("hom"),
+def _json_chunks(report, depth):
+    """json.dumps(report.to_dict(), indent=2, sort_keys=True) for the report
+    at nesting depth `depth`, byte for byte, in chunks: the caps with the
+    opening of the checks, one chunk per check, then the rest.
+
+    Each check is written from its fields, in key order, with no dict built
+    for it; its witness goes through _to_json, which writes a witness of
+    scalars with one call of the C encoder."""
+    outer = "\n" + "  " * (depth + 1)
+    item = outer + "  "
+    key = item + "  "
+    string = encode_basestring_ascii
+    yield f'{{{outer}"caps": {_to_json(report.caps, depth + 1)},{outer}"checks": ['
+    for k, c in enumerate(report.checks):
+        witness = "null" if c.witness is None else _to_json(c.witness, depth + 3)
+        yield (
+            f'{"," if k else ""}{item}{{{key}"anchor": {string(c.anchor)},{key}"name": {string(c.name)},'
+            f'{key}"status": {string(c.status)},{key}"witness": {witness}{item}}}'
         )
-    )
+    rest = {
+        "engine_version": report.engine_version,
+        "ring": report.ring,
+        "suite": report.suite,
+        "summary": report.summary,
+        "verdict": report.verdict,
+    }
+    # the keys after "checks", and the closing brace, as _to_json lays out this dict
+    yield (outer + "]," if report.checks else "],") + _to_json(rest, depth)[1:]
+
+
+def _text_chunks(report):
+    """The text form of one report: its header, one line per check, and its summary."""
+    caps = report.caps
+    dim = "default" if caps.get("dim") is None else caps["dim"]
+    header = [f"ring: {report.ring}", f"suite: {report.suite}"]
+    if report.verdict is not None:
+        header.append(f"verdict: {report.verdict}")
+    header.append(f"caps: dim={dim} gaps={caps.get('gaps')} hom={caps.get('hom')}")
+    yield "\n".join(header) + "\n"
     tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     for c in report.checks:
         line = f"  [{tag[c.status]}] {c.name}"
@@ -693,18 +717,41 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
             line += f"  witness={json.dumps(c.witness, sort_keys=True)}"
         if c.status == "skipped" and c.witness["reason"]:
             line += f"  reason={c.witness['reason']}"
-        lines.append(line)
+        yield line + "\n"
     s = report.summary
-    lines.append(f"summary: pass={s['pass']} fail={s['fail']} skipped={s['skipped']}")
-    return "\n".join(lines) + "\n"
+    yield f"summary: pass={s['pass']} fail={s['fail']} skipped={s['skipped']}\n"
+
+
+def report_chunks(reports, fmt: str = "text"):
+    """The reports as emit_reports writes them, in chunks of at most one
+    check each, so that a caller can write them out as they are made."""
+    if fmt == "json":
+        yield '{\n  "reports": ['
+        for k, report in enumerate(reports):
+            yield ",\n    " if k else "\n    "
+            yield from _json_chunks(report, 2)
+        yield "\n  ]\n}\n" if reports else "]\n}\n"
+    elif fmt == "text":
+        for k, report in enumerate(reports):
+            if k:
+                yield "\n"
+            yield from _text_chunks(report)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit_report(report: VerificationReport, fmt: str = "text") -> str:
+    """The report as text or JSON.  The JSON is byte-identical to
+    json.dumps(report.to_dict(), indent=2, sort_keys=True) plus a newline."""
+    if fmt == "json":
+        return "".join(_json_chunks(report, 0)) + "\n"
+    return "".join(report_chunks([report], fmt))
 
 
 def emit_reports(reports, fmt: str = "text") -> str:
     """The reports as text, or as JSON byte-identical to
     json.dumps({"reports": [...]}, indent=2, sort_keys=True) plus a newline."""
-    if fmt == "json":
-        return _to_json({"reports": [r.to_dict() for r in reports]}) + "\n"
-    return "\n".join(emit_report(r, "text") for r in reports)
+    return "".join(report_chunks(reports, fmt))
 
 
 def reports_have_failures(reports) -> bool:

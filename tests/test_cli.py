@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import time
 
@@ -360,6 +362,58 @@ def test_unwritable_out_exits_two(capsys, tmp_path, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error[bad-schema]: ")
+
+
+REPORT_COMMANDS = {
+    "catalog": ["catalog", "--suite", "all"],
+    "<5,12> lp": ["semigroup", "--gens", "5,12", "--suite", "lp"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, command, fmt):
+    argv = REPORT_COMMANDS[command] + ["--format", fmt]
+    code = run(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert run(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
+def test_a_write_that_fails_after_the_file_is_opened_exits_two(capsys, monkeypatch):
+    class FailingFile(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    writes = []
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FailingFile(), raising=False)
+    assert run(["semigroup", "--gens", "3,4", "--suite", "lp", "--out", "report.txt"]) == 2
+    assert len(writes) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-schema]: cannot write report file 'report.txt': ")
+
+
+def test_reports_are_written_check_by_check():
+    """The <5,12> LP report (124 KB, about 300 bytes a check) reaches stdout
+    in writes of at most one check each, and its bytes do not change."""
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes, out = [], Recorder()
+    with contextlib.redirect_stdout(out):
+        assert run(["semigroup", "--gens", "5,12", "--suite", "lp", "--format", "json"]) == 1
+    assert len(sizes) > 364 and max(sizes) <= 4096
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "05bfb50de3100dffe3f737572e310bd73f300c845d5583d6b01b922986bae8f2"
 
 
 def test_artinian_suites_over_a_large_prime_are_quick(capsys):

@@ -103,6 +103,16 @@ def test_relative_ideal_canonical_form():
     assert parse_ideal_text(S34, "0 | 3") == e
 
 
+@pytest.mark.parametrize("gens", [(1,), (2, 3), (3, 4, 5), (5, 12)])
+def test_format_lists_the_sporadic_members_and_the_conductor(gens):
+    sgp = semigroup_new(gens)
+    ideals = enumerate_normalized_ideals(sgp)
+    for e in ideals + [trace(e) for e in ideals] + [dual(e).shift(-7) for e in ideals]:
+        listed = ",".join(map(str, e.sporadic))
+        assert e.format() == (f"{listed} | {e.conductor}" if listed else f"| {e.conductor}")
+        assert parse_ideal_text(sgp, e.format()) == e
+
+
 def test_relative_ideal_validation():
     with pytest.raises(StructureError, match="escapes"):
         parse_ideal_text(S23, "1 | 5")  # 1 + 2 = 3 escapes

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from tracelab.verify import (
     default_caps,
     emit_report,
     emit_reports,
+    report_chunks,
     run_artinian_lp_suite,
     run_catalog,
     run_identity_suite,
@@ -283,6 +285,8 @@ def test_check_result_serialization_round_trip():
         "witness": {"k": 1},
         "anchor": "anchor",
     }
+    with pytest.raises(AttributeError):
+        check.reason = "a check has no field but its four"
 
 
 def _dumps(obj):
@@ -292,7 +296,10 @@ def _dumps(obj):
 def _assert_emitted_as_by_json_dumps(reports):
     for report in reports:
         assert emit_report(report, "json") == _dumps(report.to_dict())
-    assert emit_reports(reports, "json") == _dumps({"reports": [r.to_dict() for r in reports]})
+    chunks = list(report_chunks(reports, "json"))
+    assert len(chunks) > sum(len(r.checks) for r in reports)  # at least one chunk per check
+    assert "".join(chunks) == _dumps({"reports": [r.to_dict() for r in reports]})
+    assert emit_reports(reports, "json") == "".join(chunks)
 
 
 _TEXT = st.text(st.sampled_from('a"\\/\x00\x01\x1f\n\t\x7f\xe9\u2028\U0001f600') | st.characters(), max_size=6)
@@ -328,6 +335,13 @@ _REPORTS = st.builds(
 @given(st.lists(_REPORTS, max_size=2))
 def test_json_emission_is_byte_identical_to_json_dumps(reports):
     _assert_emitted_as_by_json_dumps(reports)
+
+
+def test_an_unknown_format_is_refused():
+    report = run_semigroup_lp_suite(semigroup_new((3, 4)))
+    for emit in (emit_report, lambda r, fmt: emit_reports([r], fmt)):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit(report, "xml")
 
 
 def test_json_emission_of_nested_witnesses_and_real_reports():
