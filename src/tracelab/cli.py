@@ -62,11 +62,13 @@ def parse_ring_spec(document: str) -> RingSpec:
 
     Distinct error codes: malformed-json, bad-schema, unknown-kind,
     non-prime-field, gcd-not-one.  Integers must be JSON integers and lists
-    JSON arrays; nothing is coerced.
+    JSON arrays; nothing is coerced.  A document json.loads refuses is
+    malformed-json, also for an integer past Python's digit limit (a
+    ValueError) or nesting past the recursion limit (a RecursionError).
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecError("malformed-json", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecError("bad-schema", "ring spec must be an object with a 'kind' key")
@@ -206,9 +208,10 @@ def _load_spec_argument(text: str) -> RingSpec:
         return parse_ring_spec(stripped)
     try:
         with open(text, "r", encoding="utf-8") as handle:
-            return parse_ring_spec(handle.read())
-    except OSError as exc:
+            document = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("bad-schema", f"cannot read spec file {text!r}: {exc}") from exc
+    return parse_ring_spec(document)
 
 
 def _spec_from_args(args) -> RingSpec:

@@ -357,11 +357,13 @@ def buchberger(gens):
 
     for j in range(len(basis)):
         add_pairs(j)
+    divisors = Divisors(basis)  # made again only when the basis grows
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        rem = normal_form(s_polynomial(basis[i], basis[j]), divisors)
         if not rem.is_zero():
             basis.append(rem.monic())
+            divisors = Divisors(basis)
             add_pairs(len(basis) - 1)
     return _interreduce(basis)
 
@@ -389,12 +391,15 @@ def is_groebner(basis) -> bool:
     S-polynomials always have a standard representation (Buchberger's first
     criterion, EUROSAM 1979), so the answer is that of the all-pairs check."""
     basis = [g for g in _check_family(basis) if not g.is_zero()]
+    if not basis:
+        return True
     leads = [g.leading()[0] for g in basis]
+    divisors = Divisors(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if mon_coprime(leads[i], leads[j]):
                 continue
-            if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
+            if not normal_form(s_polynomial(basis[i], basis[j]), divisors).is_zero():
                 return False
     return True
 

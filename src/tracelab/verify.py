@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from . import linalg, numsgp
+from . import __version__, linalg, numsgp
 from .errors import EnumerationCapExceededError, SearchBudgetExceededError
 from .finalg import DEFAULT_HOM_CAP_EXPONENT, FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
 from .numsgp import (
@@ -36,8 +36,6 @@ from .numsgp import (
     trace,
 )
 
-ENGINE_VERSION = "0.1.0"
-
 
 def default_caps() -> dict:
     """Caps used by the suites: subspace-enumeration dimension (None = the
@@ -53,14 +51,6 @@ class CheckResult:
     anchor: str
     witness: dict | None = None  # {"reason": ...} for a skipped check
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "anchor": self.anchor,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -69,7 +59,6 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     caps: dict = field(default_factory=default_caps)
     verdict: str | None = None
-    engine_version: str = ENGINE_VERSION
 
     @property
     def summary(self):
@@ -81,19 +70,6 @@ class VerificationReport:
     @property
     def has_failures(self) -> bool:
         return any(c.status == "fail" for c in self.checks)
-
-    def to_dict(self):
-        """The report's JSON structure.  report_chunks writes the same
-        document from the fields, without building this dict."""
-        return {
-            "ring": self.ring,
-            "suite": self.suite,
-            "verdict": self.verdict,
-            "engine_version": self.engine_version,
-            "caps": self.caps,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
 
 
 def _check(name, ok, anchor, witness=None):
@@ -174,9 +150,10 @@ def ideal_table(algebra: FinAlgebra, cap_dim=None) -> list:
     return [IdealRecord(i, algebra.trace_ideal(i), algebra.least_generator(i)) for i in ideals]
 
 
-def _table_source(algebra, caps, table):
-    """What _suite enumerates for an artinian suite: the given table, or a new one."""
-    return (lambda: table) if table is not None else partial(ideal_table, algebra, caps["dim"])
+def _table_once(algebra, caps):
+    """What _suite enumerates for an artinian suite: the algebra's
+    ideal_table under caps["dim"], built on the first call and kept."""
+    return cache(partial(ideal_table, algebra, caps["dim"]))
 
 
 def _principal(table):
@@ -184,15 +161,15 @@ def _principal(table):
     return sorted((r for r in table if r.generator is not None), key=lambda r: r.generator)
 
 
-def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None, table=None) -> VerificationReport:
+def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None, source=None) -> VerificationReport:
     """Depth-zero classification suite.
 
     Evaluates, over every ideal: equality with its trace, isomorphism with its
     trace, the same two conditions for principal ideals only, and the socle
     criterion; then asserts the five-way equivalence of those conditions.  An
     isomorphism search over its budget skips both isomorphism conditions and
-    the equivalence.  table is the algebra's ideal_table under caps["dim"],
-    or None to build one.
+    the equivalence.  source is a _table_once of the algebra under caps, or
+    None to make one.
     """
     caps = caps or default_caps()
     report = VerificationReport(ring=algebra.label, suite="lp", caps=caps, verdict="undecided")
@@ -228,7 +205,7 @@ def run_artinian_lp_suite(algebra: FinAlgebra, caps: dict | None = None, table=N
         entries = [(name, anchor, outcome) for (name, anchor), outcome in zip(_ARTINIAN_CONDITIONS, outcomes)]
         return [[entry] for entry in entries[:3]] + [entries[3:]]
 
-    _suite(report.checks, _table_source(algebra, caps, table), _ARTINIAN_CONDITIONS, groups)
+    _suite(report.checks, source or _table_once(algebra, caps), _ARTINIAN_CONDITIONS, groups)
     return report
 
 
@@ -471,13 +448,13 @@ def _semigroup_identities(sgp, ideals):
     yield [("symmetry-gap-reflection-agreement", "canonical-translate-iff-gap-reflection", reflection)]
 
 
-def run_identity_suite(target, caps: dict | None = None, table=None) -> VerificationReport:
+def run_identity_suite(target, caps: dict | None = None, source=None) -> VerificationReport:
     """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup.  For
-    a FinAlgebra, table is its ideal_table under caps["dim"], or None to
-    build one."""
+    a FinAlgebra, source is a _table_once of it under caps, or None to make
+    one."""
     caps = caps or default_caps()
     if isinstance(target, FinAlgebra):
-        ideals = _table_source(target, caps, table)
+        ideals = source or _table_once(target, caps)
         groups = partial(_artinian_identities, target, caps["hom"])
     elif isinstance(target, NumericalSemigroup):
         ideals = partial(enumerate_normalized_ideals, target, caps["gaps"])
@@ -568,25 +545,20 @@ def run_suites(ring, suite: str = "all", caps: dict | None = None) -> list:
     """The lp report, the identities report, or both ("all"), of one
     FinAlgebra or NumericalSemigroup.
 
-    For "all" on a FinAlgebra both suites read one ideal_table.  When its
-    enumeration is over a cap, each suite raises that again and skips its own
-    checks.
+    For "all" on a FinAlgebra both suites read one ideal_table, built on the
+    first suite's call.  When its enumeration is over a cap, each suite
+    raises that, before any work, and skips its own checks.
     """
     caps = caps or default_caps()
     if suite not in ("lp", "identities", "all"):
         raise ValueError(f"unknown suite {suite!r}")
     artinian = isinstance(ring, FinAlgebra)
-    table = None
-    if artinian and suite == "all":
-        try:
-            table = ideal_table(ring, caps["dim"])
-        except EnumerationCapExceededError:
-            pass
+    source = _table_once(ring, caps) if artinian else None
     reports = []
     if suite != "identities":
-        reports.append(run_artinian_lp_suite(ring, caps, table) if artinian else run_semigroup_lp_suite(ring, caps))
+        reports.append(run_artinian_lp_suite(ring, caps, source) if artinian else run_semigroup_lp_suite(ring, caps))
     if suite != "lp":
-        reports.append(run_identity_suite(ring, caps, table))
+        reports.append(run_identity_suite(ring, caps, source))
     return reports
 
 
@@ -630,7 +602,7 @@ def run_catalog(suite: str = "all", caps: dict | None = None):
 _CONTAINERS = (dict, list, tuple)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _flat_encoder(depth):
     """The C-backed encoder whose item separator is the newline and indent
     that json.dumps(..., indent=2) puts between the items of a container at
@@ -671,34 +643,36 @@ def _to_json(obj, depth=0):
     return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
 
 
-def _json_chunks(report, depth):
-    """json.dumps(report.to_dict(), indent=2, sort_keys=True) for the report
-    at nesting depth `depth`, byte for byte, in chunks: the caps with the
+def _json_chunks(report):
+    """One report as an item of the "reports" list (nesting depth 2), laid
+    out as json.dumps(..., indent=2, sort_keys=True) lays out the object
+    {caps, checks: [{anchor, name, status, witness}], engine_version, ring,
+    suite, summary, verdict}, byte for byte, in chunks: the caps with the
     opening of the checks, one chunk per check, then the rest.
 
     Each check is written from its fields, in key order, with no dict built
     for it; its witness goes through _to_json, which writes a witness of
     scalars with one call of the C encoder."""
-    outer = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * 3
     item = outer + "  "
     key = item + "  "
     string = encode_basestring_ascii
-    yield f'{{{outer}"caps": {_to_json(report.caps, depth + 1)},{outer}"checks": ['
+    yield f'{{{outer}"caps": {_to_json(report.caps, 3)},{outer}"checks": ['
     for k, c in enumerate(report.checks):
-        witness = "null" if c.witness is None else _to_json(c.witness, depth + 3)
+        witness = "null" if c.witness is None else _to_json(c.witness, 5)
         yield (
             f'{"," if k else ""}{item}{{{key}"anchor": {string(c.anchor)},{key}"name": {string(c.name)},'
             f'{key}"status": {string(c.status)},{key}"witness": {witness}{item}}}'
         )
     rest = {
-        "engine_version": report.engine_version,
+        "engine_version": __version__,
         "ring": report.ring,
         "suite": report.suite,
         "summary": report.summary,
         "verdict": report.verdict,
     }
     # the keys after "checks", and the closing brace, as _to_json lays out this dict
-    yield (outer + "]," if report.checks else "],") + _to_json(rest, depth)[1:]
+    yield (outer + "]," if report.checks else "],") + _to_json(rest, 2)[1:]
 
 
 def _text_chunks(report):
@@ -729,7 +703,7 @@ def report_chunks(reports, fmt: str = "text"):
         yield '{\n  "reports": ['
         for k, report in enumerate(reports):
             yield ",\n    " if k else "\n    "
-            yield from _json_chunks(report, 2)
+            yield from _json_chunks(report)
         yield "\n  ]\n}\n" if reports else "]\n}\n"
     elif fmt == "text":
         for k, report in enumerate(reports):
@@ -738,14 +712,6 @@ def report_chunks(reports, fmt: str = "text"):
             yield from _text_chunks(report)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_report(report: VerificationReport, fmt: str = "text") -> str:
-    """The report as text or JSON.  The JSON is byte-identical to
-    json.dumps(report.to_dict(), indent=2, sort_keys=True) plus a newline."""
-    if fmt == "json":
-        return "".join(_json_chunks(report, 0)) + "\n"
-    return "".join(report_chunks([report], fmt))
 
 
 def emit_reports(reports, fmt: str = "text") -> str:

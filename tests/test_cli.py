@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import _binomial_presentations
 
+import tracelab
 from tracelab import cli, finalg, linalg, polyfp
 from tracelab.cli import RingSpec, build_parser, parse_ring_spec, run
 from tracelab.errors import SpecError
@@ -248,6 +250,15 @@ def test_catalog_exit_zero_and_deterministic(tmp_path):
     assert len(payload["reports"]) == 39
 
 
+def test_one_version_string(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert run(["catalog", "--suite", "lp", "--format", "json"]) == 0
+    reported = {r["engine_version"] for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert reported == {tracelab.__version__} == {project["version"]}
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert run(["semigroup", "--gens", "2,4", "--op", "enumerate"]) == 2
     assert "gcd-not-one" in capsys.readouterr().err
@@ -293,6 +304,34 @@ def test_integers_past_the_digit_limit_exit_two(capsys, template):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[PolynomialSyntaxError]: ")
+
+
+def _spec_error(capsys, argv):
+    """The exit code and the stable spec code of a run that must print no report."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.partition("]")[0]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        # json.loads raises ValueError for an integer of more than 4300 digits
+        '{"kind":"semigroup","generators":[3,' + "4" * 5000 + "]}",
+        # and RecursionError for nesting past the recursion limit
+        '{"kind":' + "[" * 100_000,
+    ],
+    ids=["digit-limit", "recursion-limit"],
+)
+def test_json_past_the_parser_limits_is_malformed_json(capsys, document):
+    assert _spec_error(capsys, ["semigroup", "--spec", document, "--suite", "lp"]) == (2, "error[malformed-json")
+
+
+def test_a_spec_file_that_is_not_utf8_is_bad_schema(capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_bytes(b'{"kind":"semigroup","generators":[3,4],"note":"\xff"}')
+    assert _spec_error(capsys, ["semigroup", "--spec", str(path), "--suite", "lp"]) == (2, "error[bad-schema")
 
 
 def test_huge_exponents_in_ideal_generators_are_quick(capsys):

@@ -402,6 +402,21 @@ def test_the_pair_criterion_saves_s_polynomials(monkeypatch):
     assert (len(spolys), len(normal_forms)) == (22, 62)
 
 
+def test_the_basis_is_prepared_once_per_change(monkeypatch):
+    # 200 copies of x^2 make 19,900 S-polynomials, all zero, and the basis
+    # never grows: buchberger and is_groebner each make one Divisors, not one
+    # per S-polynomial
+    builds = []
+    init = Divisors.__init__
+    monkeypatch.setattr(Divisors, "__init__", lambda self, basis: builds.append(1) or init(self, basis))
+    copies = [poly("x^2")] * 200
+    assert buchberger(copies) == [poly("x^2")]
+    assert len(builds) == 1
+    builds.clear()
+    assert is_groebner(copies)
+    assert len(builds) == 1
+
+
 # --- standard monomials -----------------------------------------------------------
 
 def test_standard_monomials_examples():
