@@ -2,10 +2,13 @@
 
 An algebra is given by a monomial basis and a multiplication table; ideals are
 subspaces in reduced row echelon form that are closed under multiplication, so
-ideal equality is matrix equality.  In the local artinian algebras built here
-every non-unit is a zerodivisor, hence traces are computed from the Hom-image
-definition rather than from a colon formula (whose non-zerodivisor hypothesis
-would fail for proper ideals).
+ideal equality is matrix equality.  An ideal keeps the module data that an
+algebra computes for it (FinAlgebra._kept): its generating rows, rad*I with
+its minimal generators, its presentation and its annihilator, for the last
+algebra that asked, and nothing else is kept.  In the local artinian algebras
+built here every non-unit is a zerodivisor, hence traces are computed from the
+Hom-image definition rather than from a colon formula (whose non-zerodivisor
+hypothesis would fail for proper ideals).
 """
 
 from __future__ import annotations
@@ -27,14 +30,31 @@ SWEEP_BUDGET = 2**19  # enumerate_ideals visits at most this many subspaces of o
 
 
 class IdealSubspace:
-    """An ideal of a FinAlgebra as a canonical (rref) coefficient matrix."""
+    """An ideal of a FinAlgebra as a canonical (rref) coefficient matrix.
 
-    __slots__ = ("p", "ncols", "matrix", "pivots")
+    _kept is None or (algebra, data): the module data that algebra computed
+    for the ideal (see FinAlgebra._kept), derived from the immutable matrix
+    and dropped when another algebra asks.  Equality and hashing ignore it.
+    """
+
+    __slots__ = ("p", "ncols", "matrix", "pivots", "_kept")
 
     def __init__(self, p, ncols, rows):
         self.p = p
         self.ncols = ncols
         self.matrix, self.pivots = linalg.rref(rows, p)
+        self._kept = None
+
+    @classmethod
+    def _reduced(cls, p, ncols, matrix):
+        """The subspace of rows that linalg already put in rref (a right_kernel
+        basis, the identity, no rows), without a second rref: each row's
+        first 1 is its leading entry."""
+        ideal = cls.__new__(cls)
+        ideal.p, ideal.ncols, ideal._kept = p, ncols, None
+        ideal.matrix = tuple(matrix)
+        ideal.pivots = tuple(row.index(1) for row in ideal.matrix)
+        return ideal
 
     @property
     def dim(self) -> int:
@@ -308,7 +328,7 @@ class FinAlgebra:
             rows = [linalg.combine(row, frobenius, p) for row in rows]
             reach *= p
         # only the nonzero equations: on a local algebra F^k has rank 1
-        return IdealSubspace(p, d, linalg.right_kernel([c for c in zip(*rows) if any(c)], d, p))
+        return IdealSubspace._reduced(p, d, linalg.right_kernel([c for c in zip(*rows) if any(c)], d, p))
 
     # -- elements ----------------------------------------------------------
 
@@ -376,10 +396,10 @@ class FinAlgebra:
     # -- ideals ------------------------------------------------------------
 
     def zero_ideal(self) -> IdealSubspace:
-        return IdealSubspace(self.field.p, self.dim, ())
+        return IdealSubspace._reduced(self.field.p, self.dim, ())
 
     def unit_ideal(self) -> IdealSubspace:
-        return IdealSubspace(self.field.p, self.dim, tuple(self.basis_vector(i) for i in range(self.dim)))
+        return IdealSubspace._reduced(self.field.p, self.dim, _identity(self.dim))
 
     def ideal_generate(self, gens) -> IdealSubspace:
         """Smallest ideal containing the given coordinate vectors."""
@@ -424,10 +444,32 @@ class FinAlgebra:
         p = self.field.p
         return all(sub.contains_vector(linalg.combine(row, g, p)) for row in sub.matrix for g in self.generators)
 
+    def _kept(self, ideal: IdealSubspace, kind, compute):
+        """compute(ideal), the ideal's module data of this kind over this
+        algebra, computed on first use and kept with the ideal.
+
+        The ideal holds (algebra, {kind: data}) in its _kept slot, tagged with
+        the algebra object itself, which it keeps alive; when another algebra
+        asks, the data is replaced.  Four kinds are kept: the generating rows,
+        the minimal generators with rad*I, the presentation of the ideal, and
+        its annihilator.
+        """
+        tag, data = ideal._kept or (None, None)
+        if tag is not self:
+            data = {}
+            ideal._kept = (self, data)
+        if kind not in data:
+            data[kind] = compute(ideal)
+        return data[kind]
+
     def _generating_rows(self, ideal: IdealSubspace):
         """(v, action(v)) for the rref rows v of the ideal, in order, that the
         rows kept before them do not generate, stopping once the kept rows
-        generate the whole ideal.
+        generate the whole ideal; kept with the ideal."""
+        return self._kept(ideal, "generating rows", self._compute_generating_rows)
+
+    def _compute_generating_rows(self, ideal: IdealSubspace):
+        """_generating_rows, computed.
 
         The span of the kept rows' actions is the ideal they generate; it
         grows one echelon row at a time, and each row of the ideal is kept or
@@ -439,11 +481,11 @@ class FinAlgebra:
             if len(echelon) == ideal.dim:
                 break
             if not linalg.in_rowspace(echelon, pivots, v, p):
-                action = self.action(v)
+                action = tuple(self.action(v))
                 kept.append((v, action))
                 for row in action:
                     linalg.extend(echelon, pivots, row, p)
-        return kept
+        return tuple(kept)
 
     def ideal_product(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
         """Span of u*v, u a row of left and v a generating row of right: every
@@ -454,7 +496,10 @@ class FinAlgebra:
         return IdealSubspace(p, self.dim, rows)
 
     def annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
-        """{r : r * ideal = 0}."""
+        """{r : r * ideal = 0}, kept with the ideal."""
+        return self._kept(ideal, "annihilator", self._compute_annihilator)
+
+    def _compute_annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
         return self.colon_in_ring(self.zero_ideal(), ideal)
 
     def colon_in_ring(self, left: IdealSubspace, right: IdealSubspace) -> IdealSubspace:
@@ -479,7 +524,7 @@ class FinAlgebra:
 
     def minimal_generators(self, ideal: IdealSubspace):
         """(rows, below): the indices of the ideal's minimal generators among
-        its rref rows, and below = rad*ideal.
+        its rref rows, and below = rad*ideal; kept with the ideal.
 
         The minimal generators are the rref rows at the pivots that are not
         pivots of rad*ideal.  Pivots of a subspace are pivots of the whole,
@@ -487,26 +532,27 @@ class FinAlgebra:
         pivots, so those rows map to a basis of ideal/rad*ideal; by Nakayama
         they generate the ideal.
         """
+        return self._kept(ideal, "minimal generators", self._compute_minimal_generators)
+
+    def _compute_minimal_generators(self, ideal: IdealSubspace):
         below = self.ideal_product(self.radical(), ideal)
-        return [a for a, c in enumerate(ideal.pivots) if c not in below.pivots], below
+        return tuple(a for a, c in enumerate(ideal.pivots) if c not in below.pivots), below
 
-    def _hom_system(self, domain: IdealSubspace, codomain: IdealSubspace):
-        """Hom(domain, codomain) from a presentation of the domain.
+    def _presentation_of(self, ideal: IdealSubspace):
+        """(expressions, syzygies) of the ideal over its minimal generators
+        x_1..x_k, from one rref of the rows (e_i*x_j | tag (j, i)); kept with
+        the ideal.
 
-        x_1..x_k are the domain's minimal_generators.  One rref of the rows
-        (e_i*x_j | tag (j, i)) presents it: its top s rows write the basis row
-        v_a as sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and its other
-        rows span the syzygies of (x_j).  A map f is the tuple of images
-        y_j = f(x_j) in codomain coordinates, k*t unknowns, subject to
-        sum_j sigma_j*y_j = 0 for each syzygy sigma.
-
-        Returns (expressions, actions, kernel): expressions[a] holds
-        r_{a,1}..r_{a,k}; actions[b] is the matrix of r -> r*w_b in codomain
-        coordinates, w_b the codomain's rows; kernel is the right_kernel basis
-        of the constraints, y_j at entries j*t..j*t+t-1.
+        The rref's top s = dim rows write the basis row v_a as
+        sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and expressions[a] holds
+        r_{a,1}..r_{a,k}; its other rows span the syzygies of (x_j), each as
+        its k blocks.
         """
-        p, d, s = self.field.p, self.dim, domain.dim
-        gens = [domain.matrix[a] for a in self.minimal_generators(domain)[0]]
+        return self._kept(ideal, "presentation", self._compute_presentation)
+
+    def _compute_presentation(self, ideal: IdealSubspace):
+        p, d = self.field.p, self.dim
+        gens = [ideal.matrix[a] for a in self.minimal_generators(ideal)[0]]
         k = len(gens)
         rows = []
         for j, x in enumerate(gens):
@@ -514,8 +560,24 @@ class FinAlgebra:
                 tag = [0] * (k * d)
                 tag[j * d + i] = 1
                 rows.append(product + tuple(tag))
-        presentation = linalg.rref(rows, p)[0]
-        blocks = [[row[d + j * d : d + (j + 1) * d] for j in range(k)] for row in presentation]
+        blocks = tuple(tuple(row[d + j * d : d + (j + 1) * d] for j in range(k)) for row in linalg.rref(rows, p)[0])
+        return blocks[: ideal.dim], blocks[ideal.dim :]
+
+    def _hom_system(self, domain: IdealSubspace, codomain: IdealSubspace):
+        """Hom(domain, codomain) from the presentation of the domain.
+
+        A map f is the tuple of images y_j = f(x_j) of the domain's minimal
+        generators in codomain coordinates, k*t unknowns, subject to
+        sum_j sigma_j*y_j = 0 for each syzygy sigma (_presentation_of).
+
+        Returns (expressions, actions, kernel): the presentation's
+        expressions; actions[b] is the matrix of r -> r*w_b in codomain
+        coordinates, w_b the codomain's rows; kernel is the right_kernel basis
+        of the constraints, y_j at entries j*t..j*t+t-1.
+        """
+        p, d = self.field.p, self.dim
+        expressions, syzygies = self._presentation_of(domain)
+        k = len(self.minimal_generators(domain)[0])
         # a codomain of full dimension is R, whose coordinates are the vectors themselves
         full = codomain.dim == d
         actions = [
@@ -523,9 +585,9 @@ class FinAlgebra:
             for w in codomain.matrix
         ]
         constraints = set()
-        for sigma in blocks[s:]:
+        for sigma in syzygies:
             constraints.update(zip(*(linalg.combine(part, action, p) for part in sigma for action in actions)))
-        return blocks[:s], actions, linalg.right_kernel(constraints, k * codomain.dim, p)
+        return expressions, actions, linalg.right_kernel(constraints, k * codomain.dim, p)
 
     def hom_module(self, domain: IdealSubspace, codomain: IdealSubspace) -> HomBasis:
         """Basis of the module of algebra-linear maps domain -> codomain.

@@ -100,16 +100,24 @@ def coordinates(matrix, pivots, vec, p):
 
 
 def right_kernel(rows, ncols, p):
-    """Basis (tuple of vectors x) of {x : rows @ x = 0}."""
-    mat, pivots = rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis (tuple of vectors x) of {x : rows @ x = 0}, in rref.
+
+    The rows are eliminated with their columns reversed.  The kernel vector of
+    a free column f then has its 1 at f, zeros at the other free columns, and
+    its other entries at pivot columns, which in the reversed order come before
+    f, so after f in the given order: each vector's leading 1 is at its free
+    column, where the others are zero.
+    """
+    mat, pivots = rref([row[::-1] for row in rows], p)
     basis = []
-    for f in free:
+    for f in range(ncols - 1, -1, -1):  # reversed coordinates from the top: given columns left to right
+        if f in pivots:
+            continue
         vec = [0] * ncols
         vec[f] = 1
         for row, c in zip(mat, pivots):
             vec[c] = (-row[f]) % p
-        basis.append(tuple(vec))
+        basis.append(tuple(vec[::-1]))
     return tuple(basis)
 
 

@@ -340,10 +340,12 @@ def buchberger(gens):
     run, and hence the output order, deterministic.  Buchberger's first
     criterion drops every pair whose leading monomials are coprime: its
     S-polynomial has a standard representation by the pair itself
-    (Buchberger, EUROSAM 1979; Gebauer and Moeller, JSC 1988).
+    (Buchberger, EUROSAM 1979; Gebauer and Moeller, JSC 1988).  Generators
+    equal after monic() are kept once, before any pair is formed, so k
+    copies of one relation form no pair among themselves.
     """
     gens = _check_family(gens)
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    basis = list(dict.fromkeys(g.monic() for g in gens if not g.is_zero()))
     if not basis:
         return []
     pairs = []  # heap of (lcm degree, i, j), keyed once when the pair is made

@@ -1080,6 +1080,80 @@ def test_hom_matches_the_basis_oracle_on_seeded_ideal_pairs(p, variables, relati
     _assert_hom_matches_oracle(algebra, pairs)
 
 
+# --- module data kept with the ideal ------------------------------------------------
+
+
+def _fresh(ideal):
+    """An equal ideal that keeps no module data yet."""
+    return IdealSubspace(ideal.p, ideal.ncols, ideal.matrix)
+
+
+def _module_answers(algebra, domain, targets, order):
+    """minimal_generators, annihilator, trace_ideal and the Hom dimensions
+    into the targets, asked in the given order of those four; domain() gives
+    the ideal for each query."""
+    ask = {
+        "minimal": lambda: algebra.minimal_generators(domain()),
+        "annihilator": lambda: algebra.annihilator(domain()),
+        "trace": lambda: algebra.trace_ideal(domain()),
+        "hom": lambda: tuple(algebra.hom_module(domain(), target).dim for target in targets),
+    }
+    return {name: ask[name]() for name in order}
+
+
+def test_kept_module_data_answers_as_a_fresh_ideal(binomial_algebras):
+    # every query on a fresh ideal computes its data anew; a kept ideal
+    # computes each kind once, in either order of the queries, and then reads it
+    algebras = [algebra for _, algebra, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    algebras += binomial_algebras(seed=11, count=16) + _apery_algebras()
+    kinds = ("minimal", "annihilator", "trace", "hom")
+    for algebra in algebras:
+        ideals = algebra.enumerate_ideals()
+        # Hom keeps only the domain's data, so up to 8 codomains spread over the list
+        targets = ideals[:: -(-len(ideals) // 8)]
+        for ideal in ideals:
+            expected = _module_answers(algebra, partial(_fresh, ideal), targets, kinds)
+            for order in (kinds, kinds[::-1]):
+                kept = _fresh(ideal)
+                for _ in range(2):
+                    assert _module_answers(algebra, lambda: kept, targets, order) == expected, (algebra.label, ideal)
+
+
+def test_one_ideal_answers_each_algebra_that_asks(chain_algebra, fat_point):
+    # span(e_1, e_2) is the maximal ideal of F_2[x]/(x^3), with annihilator
+    # (x^2), and of F_2[x,y]/(x^2, x*y, y^2), its own annihilator
+    ideal = IdealSubspace(2, 3, [(0, 1, 0), (0, 0, 1)])
+
+    def annihilator_of_m(algebra):
+        return algebra.radical() if "y" in algebra.basis_labels else algebra.ideal_generate([algebra.element("x^2")])
+
+    assert annihilator_of_m(chain_algebra) != annihilator_of_m(fat_point)
+    for algebra in (chain_algebra, fat_point, chain_algebra, fat_point):
+        assert algebra.annihilator(ideal) == annihilator_of_m(algebra)
+    # algebras built and dropped in turn, whose ids Python may reuse
+    for k in range(6):
+        algebra = algebra_from_presentation(2, *((("x",), ("x^3",)) if k % 2 else (("x", "y"), ("x^2", "x*y", "y^2"))))
+        assert algebra.annihilator(ideal) == annihilator_of_m(algebra)
+    assert ideal == _fresh(ideal) and hash(ideal) == hash(_fresh(ideal))
+
+
+def test_reduced_subspaces_take_no_second_rref(monkeypatch):
+    rrefs = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, p: rrefs.append(1) or rref(rows, p))
+    algebras = [algebra for _, algebra, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    algebras.append(algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3")))
+    for algebra in algebras:
+        rrefs.clear()
+        subspaces = (algebra.zero_ideal(), algebra.unit_ideal())
+        assert rrefs == []
+        radical = algebra._nilradical()
+        assert len(rrefs) == 1  # the kernel's own elimination
+        for sub in (*subspaces, radical):
+            again = IdealSubspace(sub.p, sub.ncols, sub.matrix)
+            assert (sub.matrix, sub.pivots) == (again.matrix, again.pivots), algebra.label
+
+
 def test_generators_of_presentations_and_products():
     chain = algebra_from_presentation(2, ("x",), ("x^3",))
     assert chain.generators == (chain.table[1],)

@@ -57,6 +57,26 @@ def test_left_kernel_of_empty_matrix_is_everything():
     assert len(kernel) == 3
 
 
+@st.composite
+def _system(draw):
+    """(rows, ncols, p): a homogeneous system, sparse or dense, maybe with no rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(0, p - 1) | st.just(0)
+    rows = draw(st.lists(st.tuples(*[entry] * ncols), max_size=7))
+    return rows, ncols, p
+
+
+@given(_system())
+def test_right_kernel_is_a_reduced_basis_of_the_kernel(case):
+    rows, ncols, p = case
+    kernel = linalg.right_kernel(rows, ncols, p)
+    assert linalg.rref(kernel, p)[0] == kernel
+    assert len(kernel) == ncols - linalg.rank(rows, p)
+    for vec in kernel:
+        assert all(sum(r * x for r, x in zip(row, vec)) % p == 0 for row in rows)
+
+
 def test_rank_and_invertibility():
     assert linalg.rank(((1, 1), (1, 1)), 2) == 1
     assert linalg.is_invertible(((0, 1), (1, 0)), 2)

@@ -403,18 +403,31 @@ def test_the_pair_criterion_saves_s_polynomials(monkeypatch):
 
 
 def test_the_basis_is_prepared_once_per_change(monkeypatch):
-    # 200 copies of x^2 make 19,900 S-polynomials, all zero, and the basis
-    # never grows: buchberger and is_groebner each make one Divisors, not one
-    # per S-polynomial
+    # the 21 multiples x^2*y^b (b <= 20) of x^2 make 210 S-polynomials in
+    # buchberger, and 200 copies of x^2 make 19,900 in is_groebner, all zero,
+    # and the basis never grows: each makes one Divisors, not one per
+    # S-polynomial
     builds = []
     init = Divisors.__init__
     monkeypatch.setattr(Divisors, "__init__", lambda self, basis: builds.append(1) or init(self, basis))
-    copies = [poly("x^2")] * 200
-    assert buchberger(copies) == [poly("x^2")]
+    assert buchberger([poly(f"x^2*y^{b}") for b in range(21)]) == [poly("x^2")]
     assert len(builds) == 1
     builds.clear()
-    assert is_groebner(copies)
+    assert is_groebner([poly("x^2")] * 200)
     assert len(builds) == 1
+
+
+def test_copies_of_one_relation_form_no_s_polynomial(monkeypatch):
+    # buchberger keeps generators equal after monic() once: 400 copies of x^2
+    # (79,800 pairs, 1.2 s when each was formed) give the algebra of one copy,
+    # whose label still lists every relation
+    spolys = []
+    monkeypatch.setattr(polyfp, "s_polynomial", lambda f, g: spolys.append(1) or s_polynomial(f, g))
+    one = finalg.algebra_from_presentation(3, ("x",), ("x^2",))
+    copies = finalg.algebra_from_presentation(3, ("x",), ["x^2", "2*x^2"] * 200)
+    assert spolys == []
+    assert (copies.basis_labels, copies.table, copies.generators) == (one.basis_labels, one.table, one.generators)
+    assert copies.label == "F_3[x]/(" + ", ".join(["x^2", "2*x^2"] * 200) + ")"
 
 
 # --- standard monomials -----------------------------------------------------------

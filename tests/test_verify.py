@@ -437,6 +437,23 @@ def test_catalog_enumerates_and_traces_each_artinian_ring_once(count_calls):
     assert counts == {"enumerate_ideals": 13, "trace_ideal": 67 + 6 + 5}
 
 
+def test_catalog_computes_each_ideals_module_data_once(count_calls):
+    counts = count_calls(
+        "_compute_generating_rows", "_compute_minimal_generators", "_compute_presentation", "_compute_annihilator"
+    )
+    run_catalog("all")
+    # Each ideal keeps its data for its algebra, so the 186 Hom systems of a
+    # pass build one presentation per traced ideal; 120 of the annihilators
+    # are of the fresh principal ideals that the double-annihilator oracle
+    # builds, which keep nothing yet.
+    assert counts == {
+        "_compute_generating_rows": 226,
+        "_compute_minimal_generators": 85,
+        "_compute_presentation": 78,
+        "_compute_annihilator": 203,
+    }
+
+
 def test_catalog_lp_only():
     reports = run_catalog("lp")
     assert all(r.suite == "catalog-lp" for r in reports)
