@@ -2,13 +2,14 @@
 
 An algebra is given by a monomial basis and a multiplication table; ideals are
 subspaces in reduced row echelon form that are closed under multiplication, so
-ideal equality is matrix equality.  An ideal keeps the module data that an
-algebra computes for it (FinAlgebra._kept): its generating rows, rad*I with
-its minimal generators, its presentation and its annihilator, for the last
-algebra that asked, and nothing else is kept.  In the local artinian algebras
-built here every non-unit is a zerodivisor, hence traces are computed from the
-Hom-image definition rather than from a colon formula (whose non-zerodivisor
-hypothesis would fail for proper ideals).
+ideal equality is matrix equality.  The matrix an IdealSubspace is made from is
+in rref already: linalg.rref or linalg.right_kernel makes one.  An ideal keeps
+the module data that an algebra computes for it (FinAlgebra._kept): its
+generating rows, rad*I with its minimal generators, its presentation and its
+annihilator, for the last algebra that asked, and nothing else is kept.  In the
+local artinian algebras built here every non-unit is a zerodivisor, hence
+traces are computed from the Hom-image definition rather than from a colon
+formula (whose non-zerodivisor hypothesis would fail for proper ideals).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ SWEEP_BUDGET = 2**19  # enumerate_ideals visits at most this many subspaces of o
 class IdealSubspace:
     """An ideal of a FinAlgebra as a canonical (rref) coefficient matrix.
 
+    The matrix passed in is in rref, its rows tuples reduced mod p, as
+    linalg.rref(rows, p)[0] makes one from any rows; the constructor trusts
+    it, eliminates nothing and reads each pivot off a row's first 1.
+
     _kept is None or (algebra, data): the module data that algebra computed
     for the ideal (see FinAlgebra._kept), derived from the immutable matrix
     and dropped when another algebra asks.  Equality and hashing ignore it.
@@ -39,22 +44,12 @@ class IdealSubspace:
 
     __slots__ = ("p", "ncols", "matrix", "pivots", "_kept")
 
-    def __init__(self, p, ncols, rows):
+    def __init__(self, p, ncols, matrix):
         self.p = p
         self.ncols = ncols
-        self.matrix, self.pivots = linalg.rref(rows, p)
+        self.matrix = tuple(matrix)
+        self.pivots = tuple(row.index(1) for row in self.matrix)
         self._kept = None
-
-    @classmethod
-    def _reduced(cls, p, ncols, matrix):
-        """The subspace of rows that linalg already put in rref (a right_kernel
-        basis, the identity, no rows), without a second rref: each row's
-        first 1 is its leading entry."""
-        ideal = cls.__new__(cls)
-        ideal.p, ideal.ncols, ideal._kept = p, ncols, None
-        ideal.matrix = tuple(matrix)
-        ideal.pivots = tuple(row.index(1) for row in ideal.matrix)
-        return ideal
 
     @property
     def dim(self) -> int:
@@ -328,7 +323,7 @@ class FinAlgebra:
             rows = [linalg.combine(row, frobenius, p) for row in rows]
             reach *= p
         # only the nonzero equations: on a local algebra F^k has rank 1
-        return IdealSubspace._reduced(p, d, linalg.right_kernel([c for c in zip(*rows) if any(c)], d, p))
+        return IdealSubspace(p, d, linalg.right_kernel([c for c in zip(*rows) if any(c)], d, p))
 
     # -- elements ----------------------------------------------------------
 
@@ -396,15 +391,15 @@ class FinAlgebra:
     # -- ideals ------------------------------------------------------------
 
     def zero_ideal(self) -> IdealSubspace:
-        return IdealSubspace._reduced(self.field.p, self.dim, ())
+        return IdealSubspace(self.field.p, self.dim, ())
 
     def unit_ideal(self) -> IdealSubspace:
-        return IdealSubspace._reduced(self.field.p, self.dim, _identity(self.dim))
+        return IdealSubspace(self.field.p, self.dim, _identity(self.dim))
 
     def ideal_generate(self, gens) -> IdealSubspace:
         """Smallest ideal containing the given coordinate vectors."""
-        rows = [tuple(g) for g in gens]
-        return IdealSubspace(self.field.p, self.dim, rows + [r for g in rows for r in self.action(g)])
+        p, rows = self.field.p, [tuple(g) for g in gens]
+        return IdealSubspace(p, self.dim, linalg.rref(rows + [r for g in rows for r in self.action(g)], p)[0])
 
     def principal_ideal(self, x) -> IdealSubspace:
         return self.ideal_generate([x])
@@ -493,7 +488,7 @@ class FinAlgebra:
         u*r_j in left."""
         p = self.field.p
         rows = {linalg.combine(u, action, p) for _, action in self._generating_rows(right) for u in left.matrix}
-        return IdealSubspace(p, self.dim, rows)
+        return IdealSubspace(p, self.dim, linalg.rref(rows, p)[0])
 
     def annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
         """{r : r * ideal = 0}, kept with the ideal."""
@@ -509,7 +504,9 @@ class FinAlgebra:
         r*right lies in left exactly when each r*w does, since r*(a*w) =
         a*(r*w) and left is an ideal.  r -> r*w reduced modulo left is linear,
         so each step keeps the combinations of the basis so far whose images
-        cancel.
+        cancel.  The basis stays in rref: row i of C*K, for C a right_kernel
+        basis and K the basis so far, both in rref, is row f_i of K, f_i the
+        pivot of C's row i, plus later rows of K at columns not pivots of C.
         """
         p, d = self.field.p, self.dim
         kernel = [self.basis_vector(i) for i in range(d)]
@@ -609,10 +606,11 @@ class FinAlgebra:
         It is the span of the images y_j of the minimal generators over a basis
         of Hom; that span is already an ideal, since r*f is a map too.
         """
-        d = self.dim
+        p, d = self.field.p, self.dim
         # R has the identity as its rref basis, so y_j already is the element f(x_j)
         kernel = self._hom_system(ideal, self.unit_ideal())[2]
-        return IdealSubspace(self.field.p, d, [vec[j : j + d] for vec in kernel for j in range(0, len(vec), d)])
+        images = [vec[j : j + d] for vec in kernel for j in range(0, len(vec), d)]
+        return IdealSubspace(p, d, linalg.rref(images, p)[0])
 
     def trace_principal_via_ann(self, x) -> IdealSubspace:
         """Double annihilator ann(ann((x))); independent oracle for principal traces."""
@@ -701,15 +699,15 @@ class FinAlgebra:
         """All ideals; for an algebra without factors, in the order (dim,
         pivots, matrix) of their rref matrices.
 
-        The sweep visits every subspace of F_p^d in that order and keeps those
-        that is_ideal accepts.  Before it starts, EnumerationCapExceededError
-        is raised when d exceeds cap_dim (default 6 over F_2, 4 for p >= 3),
-        or when the subspaces to visit, subspace_count(p, d), exceed
-        SWEEP_BUDGET; each message states the work next to the cap.  For
-        products of local algebras the enumeration runs blockwise (every ideal
-        of a product is a product of ideals), and each factor is capped alone:
-        the list is the itertools.product of the factors' lists, which is not
-        sorted in that order.
+        The sweep builds every subspace of F_p^d in that order, in rref, and
+        keeps those that is_ideal accepts.  Before it starts,
+        EnumerationCapExceededError is raised when d exceeds cap_dim (default
+        6 over F_2, 4 for p >= 3), or when the subspaces to visit,
+        subspace_count(p, d), exceed SWEEP_BUDGET; each message states the
+        work next to the cap.  For products of local algebras the enumeration
+        runs blockwise (every ideal of a product is a product of ideals), and
+        each factor is capped alone: the list is the itertools.product of the
+        factors' lists, which is not sorted in that order.
         """
         if self.factors is not None:
             parts = [f.enumerate_ideals(cap_dim) for f in self.factors]
@@ -742,7 +740,7 @@ class FinAlgebra:
                         rows[r][pivots[r]] = 1
                     for (r, c), val in zip(free, values):
                         rows[r][c] = val
-                    sub = IdealSubspace(p, d, rows)
+                    sub = IdealSubspace(p, d, tuple(map(tuple, rows)))
                     if self.is_ideal(sub):
                         found.append(sub)
         return found
@@ -771,7 +769,7 @@ class FinAlgebra:
         off = 0
         for f in self.local_factors():
             rows = [row[off : off + f.dim] for row in ideal.matrix]
-            out.append(IdealSubspace(self.field.p, f.dim, rows))
+            out.append(IdealSubspace(self.field.p, f.dim, linalg.rref(rows, self.field.p)[0]))
             off += f.dim
         return tuple(out)
 

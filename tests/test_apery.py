@@ -29,6 +29,7 @@ def apery_algebra(sgp, p):
 
     table = [[monomial(a + b) for b in apery] for a in apery]
     algebra = FinAlgebra(PrimeField(p), [f"t^{w}" for w in apery], table, monomial(0))
+    # the rows e_1, ..., e_{m-1} are in rref as they stand
     assert algebra.radical() == IdealSubspace(p, len(apery), [monomial(w) for w in apery if w])
     return algebra
 

@@ -1,11 +1,10 @@
-"""The benchmark's correctness gate on its cheap workloads.
+"""The benchmark's correctness gate on its three workloads.
 
-One pass of the catalog and single-ops workloads at the default and the
-held-out seed runs in process through cli.run, as perfbench/run.py runs it.
-Every output must pass its oracle in perfbench/oracles.py and match its
-committed digest in perfbench/expected.json.  perfbench/ is only read: its
-modules are imported without writing bytecode.  sweep-edge, about 1.4 s a
-pass, is left to the benchmark itself.
+One pass of the catalog, sweep-edge and single-ops workloads at the default
+and the held-out seed runs in process through cli.run, as perfbench/run.py
+runs it.  Every output must pass its oracle in perfbench/oracles.py and match
+its committed digest in perfbench/expected.json.  perfbench/ is only read: its
+modules are imported without writing bytecode.
 """
 
 import contextlib
@@ -38,7 +37,7 @@ def perfbench(monkeypatch):
     assert sorted(PERFBENCH.rglob("*")) == files_before
 
 
-@pytest.mark.parametrize("name", ["catalog", "single-ops"])
+@pytest.mark.parametrize("name", ["catalog", "sweep-edge", "single-ops"])
 def test_cheap_workloads_pass_the_benchmark_gate(perfbench, name):
     workloads, oracles, expected = perfbench
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):

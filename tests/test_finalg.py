@@ -1,5 +1,8 @@
 import collections
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 import time
@@ -17,12 +20,12 @@ from tracelab.errors import (
     StructureError,
     TraceLabError,
 )
-from tracelab import finalg, linalg
+from tracelab import cli, finalg, linalg
 from tracelab.cli import parse_ring_spec
 from tracelab.finalg import FinAlgebra, IdealSubspace, algebra_from_presentation, product_algebra
 from tracelab.numsgp import semigroup_new
 from tracelab.polyfp import Polynomial, PrimeField, buchberger, mon_mul, normal_form, standard_monomials
-from tracelab.verify import ARTINIAN_CATALOG, build_artinian_catalog, catalog_product_algebra
+from tracelab.verify import ARTINIAN_CATALOG, build_artinian_catalog, catalog_product_algebra, run_suites
 
 from conftest import _binomial_presentations
 from test_apery import apery_algebra
@@ -806,12 +809,12 @@ def _oracle_ideal_product(algebra, left, right):
     """The per-row product: u*v for every row u of left and every row v of right."""
     p = algebra.field.p
     rows = {linalg.combine(u, algebra.action(v), p) for v in right.matrix for u in left.matrix}
-    return IdealSubspace(p, algebra.dim, rows)
+    return IdealSubspace(p, algebra.dim, linalg.rref(rows, p)[0])
 
 
 def _left_kernel(rows, p):
-    """Basis of {x : x @ rows = 0}, the right kernel of the transpose; every
-    vector when the rows are empty."""
+    """Basis of {x : x @ rows = 0} in rref, the right kernel of the transpose;
+    every vector when the rows are empty."""
     return linalg.right_kernel(list(zip(*rows)), len(rows), p)
 
 
@@ -882,9 +885,7 @@ def _brute_annihilator(algebra, ideal):
         for v in algebra.all_elements()
         if all(algebra.mul(v, w) == algebra.zero_vector() for w in ideal.matrix)
     ]
-    from tracelab.finalg import IdealSubspace
-
-    return IdealSubspace(algebra.field.p, algebra.dim, rows)
+    return IdealSubspace(algebra.field.p, algebra.dim, linalg.rref(rows, algebra.field.p)[0])
 
 
 def test_annihilator_examples(chain_algebra, fat_point):
@@ -907,9 +908,7 @@ def _brute_colon(algebra, left, right):
         for v in algebra.all_elements()
         if all(left.contains_vector(algebra.mul(v, w)) for w in right.matrix)
     ]
-    from tracelab.finalg import IdealSubspace
-
-    return IdealSubspace(algebra.field.p, algebra.dim, rows)
+    return IdealSubspace(algebra.field.p, algebra.dim, linalg.rref(rows, algebra.field.p)[0])
 
 
 def test_colon_examples(chain_algebra):
@@ -1005,7 +1004,7 @@ def _assert_hom_matches_oracle(algebra, pairs=None):
     unit = algebra.unit_ideal()
     for domain in {domain for domain, _ in pairs}:
         images = [row for m in algebra.hom_module(domain, unit).maps for row in m]
-        assert algebra.trace_ideal(domain) == IdealSubspace(algebra.field.p, algebra.dim, images), algebra.label
+        assert algebra.trace_ideal(domain) == IdealSubspace(p, algebra.dim, linalg.rref(images, p)[0]), algebra.label
 
 
 def test_hom_from_generators_matches_the_basis_oracle_on_the_catalog():
@@ -1137,21 +1136,67 @@ def test_one_ideal_answers_each_algebra_that_asks(chain_algebra, fat_point):
     assert ideal == _fresh(ideal) and hash(ideal) == hash(_fresh(ideal))
 
 
+def _count_linalg_calls(monkeypatch):
+    """A Counter of the calls of every linalg function from then on, calls
+    between linalg functions included."""
+    calls = collections.Counter()
+    for name, f in list(vars(linalg).items()):
+        if callable(f) and getattr(f, "__module__", None) == linalg.__name__:
+            monkeypatch.setattr(linalg, name, lambda *args, f=f, name=name: calls.update([name]) or f(*args))
+    return calls
+
+
 def test_reduced_subspaces_take_no_second_rref(monkeypatch):
-    rrefs = []
+    # the constructor, zero_ideal and unit_ideal call no linalg function;
+    # _nilradical makes one rref, the kernel's own; all three are in rref
     rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda rows, p: rrefs.append(1) or rref(rows, p))
+    calls = _count_linalg_calls(monkeypatch)
     algebras = [algebra for _, algebra, _ in build_artinian_catalog()] + [catalog_product_algebra()]
     algebras.append(algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3")))
     for algebra in algebras:
-        rrefs.clear()
+        calls.clear()
         subspaces = (algebra.zero_ideal(), algebra.unit_ideal())
-        assert rrefs == []
+        assert not calls
         radical = algebra._nilradical()
-        assert len(rrefs) == 1  # the kernel's own elimination
+        assert calls["rref"] == 1  # the kernel's own elimination
         for sub in (*subspaces, radical):
+            calls.clear()
             again = IdealSubspace(sub.p, sub.ncols, sub.matrix)
-            assert (sub.matrix, sub.pivots) == (again.matrix, again.pivots), algebra.label
+            assert not calls
+            assert rref(sub.matrix, sub.p) == (sub.matrix, sub.pivots) == (again.matrix, again.pivots), algebra.label
+
+
+def test_every_subspace_is_made_in_rref(monkeypatch, binomial_algebras):
+    # the constructor trusts its matrix; every subspace the suites and the
+    # artinian --op commands make must already be in rref
+    init, made = IdealSubspace.__init__, []
+
+    def checked(self, p, ncols, matrix):
+        init(self, p, ncols, matrix)
+        assert linalg.rref(matrix, p) == (self.matrix, self.pivots), self
+        assert all(len(row) == ncols for row in self.matrix), self
+        made.append(self)
+
+    monkeypatch.setattr(IdealSubspace, "__init__", checked)
+    algebras = binomial_algebras(seed=11, count=16)
+    products = [product_algebra(a, b) for a, b in zip(algebras, algebras[1:]) if a.field.p == b.field.p]
+    catalog = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    for algebra in catalog + algebras + products:
+        run_suites(algebra, "all")
+    by_suites = len(made)
+    ops = {
+        (2, ("x", "y"), ("x^3", "y^4")): (("trace", "x*y"), ("colon", "x^2", "y"), ("iso", "x^2", "y^2")),
+        (3, ("x", "y"), ("x^3", "x*y^2", "y^4")): (("ann", "x,y"), ("colon", "x^2", "x,y"), ("trace", "y")),
+        (5, ("x", "y"), ("x^2", "y^2")): (("iso", "x", "y"), ("ann", "x+y"), ("enumerate",)),
+    }
+    for (p, variables, relations), commands in ops.items():
+        spec = json.dumps({"kind": "artinian", "field": p, "vars": list(variables), "relations": list(relations)})
+        for op, *ideals in commands:
+            argv = ["artinian", "--spec", spec, "--op", op]
+            argv += itertools.chain.from_iterable(("--ideal-gens", ideal) for ideal in ideals)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0, argv
+    assert 0 < by_suites < len(made)
 
 
 def test_generators_of_presentations_and_products():
@@ -1447,7 +1492,7 @@ def _subspaces(p, d):
                 rows = [[int(c == pivot) for c in range(d)] for pivot in pivots]
                 for (r, c), value in zip(free, values):
                     rows[r][c] = value
-                yield IdealSubspace(p, d, rows)
+                yield IdealSubspace(p, d, tuple(map(tuple, rows)))
 
 
 def _oracle_is_ideal(algebra, sub):
@@ -1562,16 +1607,17 @@ def test_subspace_counts_against_the_sweep_budget():
     assert time.monotonic() - start < 1.0
 
 
-def test_one_sweep_counts_its_row_reductions(monkeypatch):
+def test_one_sweep_counts_its_row_reductions(monkeypatch, count_calls):
     # a dim-7 F_2 algebra of the benchmark's sweep pool: 29,212 subspaces, each
-    # tested under the 2 variables; testing under all 7 basis elements made
-    # 135,732 reductions
+    # built in rref and tested once under the 2 variables; testing under all 7
+    # basis elements made 135,732 reductions, and eliminating each built
+    # subspace again made 29,212 rrefs
     algebra = algebra_from_presentation(2, ("x", "y"), ("x^3", "x^2*y", "y^3"))
-    calls = []
-    reduce_vector = linalg.reduce_vector
-    monkeypatch.setattr(linalg, "reduce_vector", lambda *args: calls.append(1) or reduce_vector(*args))
+    calls = _count_linalg_calls(monkeypatch)
+    visits = count_calls("is_ideal")
     assert len(algebra.enumerate_ideals(cap_dim=7)) == 30
-    assert len(calls) == 32756
+    assert visits["is_ideal"] == finalg.subspace_count(2, 7) == 29212
+    assert (calls["rref"], calls["reduce_vector"]) == (0, 32756), calls
 
 
 # --- products -----------------------------------------------------------------------
