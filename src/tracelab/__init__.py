@@ -30,7 +30,6 @@ from .numsgp import (
     dual,
     endo_semigroup,
     enumerate_normalized_ideals,
-    filtration_length,
     filtration_lengths,
     ideal_colon,
     ideal_from_gens,

@@ -61,9 +61,6 @@ class IdealSubspace:
     def is_subspace_of(self, other: "IdealSubspace") -> bool:
         return all(other.contains_vector(row) for row in self.matrix)
 
-    def coordinates(self, vec):
-        return linalg.coordinates(self.matrix, self.pivots, vec, self.p)
-
     def __eq__(self, other):
         return (
             isinstance(other, IdealSubspace)
@@ -401,9 +398,6 @@ class FinAlgebra:
         p, rows = self.field.p, [tuple(g) for g in gens]
         return IdealSubspace(p, self.dim, linalg.rref(rows + [r for g in rows for r in self.action(g)], p)[0])
 
-    def principal_ideal(self, x) -> IdealSubspace:
-        return self.ideal_generate([x])
-
     def least_generator(self, ideal: IdealSubspace):
         """Least element, in the all_elements order, that generates the ideal;
         None when the ideal is not principal.
@@ -612,9 +606,9 @@ class FinAlgebra:
         images = [vec[j : j + d] for vec in kernel for j in range(0, len(vec), d)]
         return IdealSubspace(p, d, linalg.rref(images, p)[0])
 
-    def trace_principal_via_ann(self, x) -> IdealSubspace:
-        """Double annihilator ann(ann((x))); independent oracle for principal traces."""
-        return self.annihilator(self.annihilator(self.principal_ideal(x)))
+    def double_annihilator(self, ideal: IdealSubspace) -> IdealSubspace:
+        """ann(ann(ideal)); independent oracle for the trace of a principal ideal."""
+        return self.annihilator(self.annihilator(ideal))
 
     def is_isomorphic(
         self, left: IdealSubspace, right: IdealSubspace, hom_cap_exponent: int = DEFAULT_HOM_CAP_EXPONENT

@@ -91,14 +91,6 @@ def in_rowspace(matrix, pivots, vec, p):
     return not any(reduce_vector(matrix, pivots, vec, p))
 
 
-def coordinates(matrix, pivots, vec, p):
-    """Coordinates of vec in the rref row basis.  vec must lie in the row space."""
-    coords = tuple(vec[c] % p for c in pivots)
-    if any(reduce_vector(matrix, pivots, vec, p)):
-        raise ValueError("vector outside the row space")
-    return coords
-
-
 def right_kernel(rows, ncols, p):
     """Basis (tuple of vectors x) of {x : rows @ x = 0}, in rref.
 

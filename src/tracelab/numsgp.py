@@ -436,16 +436,9 @@ def colength(sgp: NumericalSemigroup, ideal: RelativeIdeal) -> int:
     return (sgp.bits & ~(ideal.bits << ideal.min)).bit_count()
 
 
-def filtration_length(sgp: NumericalSemigroup, n: int) -> int:
-    """Length of R modulo the (n+1)-st power of the maximal ideal."""
-    if n < 0:
-        raise StructureError("power index must be non-negative")
-    return filtration_lengths(sgp, n + 1)[n]
-
-
 def filtration_lengths(sgp: NumericalSemigroup, count: int) -> list:
-    """filtration_length(sgp, n) for n < count, keeping each power of the
-    maximal ideal m, so m^(n+2) = m^(n+1) + m is one ideal_sum."""
+    """Length of R modulo m^(n+1), m the maximal ideal, for each n < count,
+    keeping each power of m, so m^(n+2) = m^(n+1) + m is one ideal_sum."""
     m = maximal_ideal(sgp)
     lengths, power = [], m
     for n in range(count):

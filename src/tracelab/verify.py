@@ -248,8 +248,8 @@ def _artinian_identities(algebra, hom_cap, table):
     def double_annihilator():
         # Both sides depend only on the ideal (v), so the first element of the
         # all_elements order that fails is the least generator of its ideal.
-        for _, via_hom, v in _principal(table):
-            via_ann = algebra.trace_principal_via_ann(v)
+        for ideal, via_hom, v in _principal(table):
+            via_ann = algebra.double_annihilator(ideal)
             if via_hom != via_ann:
                 element = algebra.format_element(v)
                 yield {"element": element, "trace": fmt(via_hom), "double_annihilator": fmt(via_ann)}

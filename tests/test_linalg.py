@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -27,9 +26,6 @@ def test_in_rowspace_and_coordinates():
     mat, pivots = linalg.rref(((1, 0, 1), (0, 1, 1)), 2)
     assert linalg.in_rowspace(mat, pivots, (1, 1, 0), 2)
     assert not linalg.in_rowspace(mat, pivots, (0, 0, 1), 2)
-    assert linalg.coordinates(mat, pivots, (1, 1, 0), 2) == (1, 1)
-    with pytest.raises(ValueError):
-        linalg.coordinates(mat, pivots, (0, 0, 1), 2)
 
 
 def test_right_kernel_annihilates():

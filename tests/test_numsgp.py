@@ -19,7 +19,6 @@ from tracelab.numsgp import (
     dual,
     endo_semigroup,
     enumerate_normalized_ideals,
-    filtration_length,
     filtration_lengths,
     generator_offsets,
     ideal_colon,
@@ -498,22 +497,20 @@ def _brute_power_colength(sgp, n):
 
 def test_filtration_length_values():
     # frozen from the sumset oracle: lengths are 1, 3, 5, ... for <2,3>
-    assert [filtration_length(S23, n) for n in range(5)] == [1, 3, 5, 7, 9]
-    s25 = semigroup_new((2, 5))
-    assert [filtration_length(s25, n) for n in range(4)] == [1, 3, 5, 7]
-    assert [filtration_length(S34, n) for n in range(4)] == [1, 3, 6, 9]
+    assert filtration_lengths(S23, 5) == [1, 3, 5, 7, 9]
+    assert filtration_lengths(semigroup_new((2, 5)), 4) == [1, 3, 5, 7]
+    assert filtration_lengths(S34, 4) == [1, 3, 6, 9]
 
 
 def test_filtration_length_matches_brute_force():
     for sgp in (S23, semigroup_new((2, 5)), S34, S345):
-        for n in range(4):
-            assert filtration_length(sgp, n) == _brute_power_colength(sgp, n)
+        assert filtration_lengths(sgp, 4) == [_brute_power_colength(sgp, n) for n in range(4)]
 
 
 def test_filtration_growth_rate_is_multiplicity():
     for sgp in CATALOG:
         e = sgp.multiplicity
-        lengths = [filtration_length(sgp, n) for n in range(sgp.conductor + e + 3)]
+        lengths = filtration_lengths(sgp, sgp.conductor + e + 3)
         diffs = [b - a for a, b in zip(lengths, lengths[1:])]
         assert lengths[0] == 1
         assert diffs[-1] == e and diffs[-2] == e
@@ -522,7 +519,7 @@ def test_filtration_growth_rate_is_multiplicity():
 def test_filtration_lengths_keep_each_power(monkeypatch):
     for sgp in CATALOG:
         count = sgp.conductor + sgp.multiplicity + 3
-        assert filtration_lengths(sgp, count) == [filtration_length(sgp, n) for n in range(count)]
+        assert filtration_lengths(sgp, count) == [_brute_power_colength(sgp, n) for n in range(count)]
     assert filtration_lengths(S34, 0) == []
     # <2,1001>, genus 500: one ideal_sum per power past m, where rebuilding
     # each power from m took (c + e)^2 / 2, about 505,000

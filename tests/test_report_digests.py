@@ -105,7 +105,7 @@ def _artinian_faults():
     product = catalog_product_algebra()
     ideals = cube.enumerate_ideals()
     line, plane = [i for i in ideals if i.dim == 1][1], [i for i in ideals if i.dim == 2][1]
-    gen = {v: cube.principal_ideal(cube.element(v)) for v in "xyz"}
+    gen = {v: cube.ideal_generate([cube.element(v)]) for v in "xyz"}
     unit = cube.unit_ideal()
 
     def hom_off_by_one(original):
@@ -155,7 +155,7 @@ def _artinian_faults():
         _patched(FinAlgebra, "trace_ideal", maximal_trace_of_unit)
     ]
     yield "zero-double-annihilator", chain, ("identities",), {}, [
-        _patched(FinAlgebra, "trace_principal_via_ann", always(chain.zero_ideal()))
+        _patched(FinAlgebra, "double_annihilator", always(chain.zero_ideal()))
     ]
     yield "lost-unit-colon", fat, ("identities",), {}, [_patched(FinAlgebra, "colon_in_ring", lost_unit_colon)]
     yield "unit-annihilator", fat, ("identities",), {}, [_patched(FinAlgebra, "annihilator", unit_annihilator)]

@@ -209,7 +209,7 @@ def _oracle_principal_ideals(algebra):
     all_elements sweep that generates it, in sweep order."""
     seen, keys = [], set()
     for v in algebra.all_elements():
-        ideal = algebra.principal_ideal(v)
+        ideal = algebra.ideal_generate([v])
         if ideal.matrix not in keys:
             keys.add(ideal.matrix)
             seen.append((v, ideal))
@@ -439,18 +439,23 @@ def test_catalog_enumerates_and_traces_each_artinian_ring_once(count_calls):
 
 def test_catalog_computes_each_ideals_module_data_once(count_calls):
     counts = count_calls(
-        "_compute_generating_rows", "_compute_minimal_generators", "_compute_presentation", "_compute_annihilator"
+        "_compute_generating_rows",
+        "_compute_minimal_generators",
+        "_compute_presentation",
+        "_compute_annihilator",
+        "ideal_generate",
     )
     run_catalog("all")
     # Each ideal keeps its data for its algebra, so the 186 Hom systems of a
-    # pass build one presentation per traced ideal; 120 of the annihilators
-    # are of the fresh principal ideals that the double-annihilator oracle
-    # builds, which keep nothing yet.
+    # pass build one presentation per traced ideal.  The double-annihilator
+    # oracle takes each principal ideal from the table, whose annihilator the
+    # colon check keeps, and builds no ideal from a generator.
     assert counts == {
-        "_compute_generating_rows": 226,
+        "_compute_generating_rows": 166,
         "_compute_minimal_generators": 85,
         "_compute_presentation": 78,
-        "_compute_annihilator": 203,
+        "_compute_annihilator": 143,
+        "ideal_generate": 0,
     }
 
 
