@@ -5,7 +5,7 @@ subspaces in reduced row echelon form that are closed under multiplication, so
 ideal equality is matrix equality.  The matrix an IdealSubspace is made from is
 in rref already: linalg.rref or linalg.right_kernel makes one.  An ideal keeps
 the module data that an algebra computes for it (FinAlgebra._kept): its
-generating rows, rad*I with its minimal generators, its presentation and its
+generating rows, its minimal generators with rad*I and presentation, and its
 annihilator, for the last algebra that asked, and nothing else is kept.  In the
 local artinian algebras built here every non-unit is a zerodivisor, hence
 traces are computed from the Hom-image definition rather than from a colon
@@ -439,9 +439,9 @@ class FinAlgebra:
 
         The ideal holds (algebra, {kind: data}) in its _kept slot, tagged with
         the algebra object itself, which it keeps alive; when another algebra
-        asks, the data is replaced.  Four kinds are kept: the generating rows,
-        the minimal generators with rad*I, the presentation of the ideal, and
-        its annihilator.
+        asks, the data is replaced.  Three kinds are kept: the generating rows,
+        the Nakayama record (the minimal generators with rad*I and their
+        presentation), and the annihilator.
         """
         tag, data = ideal._kept or (None, None)
         if tag is not self:
@@ -514,52 +514,43 @@ class FinAlgebra:
     # -- homomorphisms and traces -------------------------------------------
 
     def minimal_generators(self, ideal: IdealSubspace):
-        """(rows, below): the indices of the ideal's minimal generators among
-        its rref rows, and below = rad*ideal; kept with the ideal.
+        """(rows, below, expressions, syzygies), the ideal's Nakayama record;
+        kept with the ideal.
 
-        The minimal generators are the rref rows at the pivots that are not
-        pivots of rad*ideal.  Pivots of a subspace are pivots of the whole,
-        and in the ideal's row coordinates rad*ideal is in rref on its own
-        pivots, so those rows map to a basis of ideal/rad*ideal; by Nakayama
-        they generate the ideal.
+        rows index the minimal generators x_1..x_k among the rref rows: the
+        rows at the pivots that are not pivots of below = rad*ideal.  Pivots
+        of a subspace are pivots of the whole, and in the ideal's row
+        coordinates rad*ideal is in rref on its own pivots, so those rows map
+        to a basis of ideal/rad*ideal; by Nakayama they generate the ideal.
+
+        One rref of the rows (e_i*x_j | tag (j, i)) presents the ideal: its
+        top s = dim rows write the basis row v_a as sum_j r_{a,j}*x_j, r_{a,j}
+        being tag block j, and expressions[a] holds r_{a,1}..r_{a,k}; its
+        other rows span the syzygies of (x_j), each as its k blocks.
         """
         return self._kept(ideal, "minimal generators", self._compute_minimal_generators)
 
     def _compute_minimal_generators(self, ideal: IdealSubspace):
-        below = self.ideal_product(self.radical(), ideal)
-        return tuple(a for a, c in enumerate(ideal.pivots) if c not in below.pivots), below
-
-    def _presentation_of(self, ideal: IdealSubspace):
-        """(expressions, syzygies) of the ideal over its minimal generators
-        x_1..x_k, from one rref of the rows (e_i*x_j | tag (j, i)); kept with
-        the ideal.
-
-        The rref's top s = dim rows write the basis row v_a as
-        sum_j r_{a,j}*x_j, r_{a,j} being tag block j, and expressions[a] holds
-        r_{a,1}..r_{a,k}; its other rows span the syzygies of (x_j), each as
-        its k blocks.
-        """
-        return self._kept(ideal, "presentation", self._compute_presentation)
-
-    def _compute_presentation(self, ideal: IdealSubspace):
         p, d = self.field.p, self.dim
-        gens = [ideal.matrix[a] for a in self.minimal_generators(ideal)[0]]
-        k = len(gens)
-        rows = []
-        for j, x in enumerate(gens):
-            for i, product in enumerate(self.action(x)):
+        below = self.ideal_product(self.radical(), ideal)
+        rows = tuple(a for a, c in enumerate(ideal.pivots) if c not in below.pivots)
+        k = len(rows)
+        tagged = []
+        for j, a in enumerate(rows):
+            for i, product in enumerate(self.action(ideal.matrix[a])):
                 tag = [0] * (k * d)
                 tag[j * d + i] = 1
-                rows.append(product + tuple(tag))
-        blocks = tuple(tuple(row[d + j * d : d + (j + 1) * d] for j in range(k)) for row in linalg.rref(rows, p)[0])
-        return blocks[: ideal.dim], blocks[ideal.dim :]
+                tagged.append(product + tuple(tag))
+        blocks = tuple(tuple(row[d + j * d : d + (j + 1) * d] for j in range(k)) for row in linalg.rref(tagged, p)[0])
+        return rows, below, blocks[: ideal.dim], blocks[ideal.dim :]
 
     def _hom_system(self, domain: IdealSubspace, codomain: IdealSubspace):
         """Hom(domain, codomain) from the presentation of the domain.
 
         A map f is the tuple of images y_j = f(x_j) of the domain's minimal
         generators in codomain coordinates, k*t unknowns, subject to
-        sum_j sigma_j*y_j = 0 for each syzygy sigma (_presentation_of).
+        sum_j sigma_j*y_j = 0 for each syzygy sigma; k, the expressions and
+        the syzygies come from the domain's record (minimal_generators).
 
         Returns (expressions, actions, kernel): the presentation's
         expressions; actions[b] is the matrix of r -> r*w_b in codomain
@@ -567,8 +558,7 @@ class FinAlgebra:
         of the constraints, y_j at entries j*t..j*t+t-1.
         """
         p, d = self.field.p, self.dim
-        expressions, syzygies = self._presentation_of(domain)
-        k = len(self.minimal_generators(domain)[0])
+        rows, _, expressions, syzygies = self.minimal_generators(domain)
         # a codomain of full dimension is R, whose coordinates are the vectors themselves
         full = codomain.dim == d
         actions = [
@@ -578,7 +568,7 @@ class FinAlgebra:
         constraints = set()
         for sigma in syzygies:
             constraints.update(zip(*(linalg.combine(part, action, p) for part in sigma for action in actions)))
-        return expressions, actions, linalg.right_kernel(constraints, k * codomain.dim, p)
+        return expressions, actions, linalg.right_kernel(constraints, len(rows) * codomain.dim, p)
 
     def hom_module(self, domain: IdealSubspace, codomain: IdealSubspace) -> HomBasis:
         """Basis of the module of algebra-linear maps domain -> codomain.
@@ -623,8 +613,9 @@ class FinAlgebra:
         f(left) + rad*right = F + rad*right, F the span of the y_j, so by
         Nakayama f is onto, hence bijective, exactly when the y_j span
         right/rad*right: a k x k test per candidate.  Isomorphic modules have
-        equal annihilators, so unequal ones answer False before the search,
-        after the budget check, which thus raises on the same inputs.
+        equal annihilators, so unequal ones answer False after the budget
+        check, which thus raises on the same inputs, and before right's
+        record is read; then unequal k answer False before the search.
         """
         if left.dim != right.dim:
             return False
@@ -641,12 +632,12 @@ class FinAlgebra:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
             )
-        rows, below = self.minimal_generators(right)
+        if self.annihilator(left) != self.annihilator(right):
+            return False
+        rows, below = self.minimal_generators(right)[:2]
         top = [right.pivots[a] for a in rows]
         k, t = len(expressions[0]), right.dim
         if k != len(top):
-            return False
-        if self.annihilator(left) != self.annihilator(right):
             return False
 
         def residue(coords):

@@ -130,6 +130,12 @@ def _bare(algebra):
     return FinAlgebra(algebra.field, algebra.basis_labels, algebra.table, algebra.unit)
 
 
+def _field_of_four():
+    """F_2[x]/(x^2+x+1), x^2 = x + 1, as a bare table: the field F_4, so its
+    radical is zero, and not local in is_local's sense (residue field F_2)."""
+    return FinAlgebra(PrimeField(2), ("1", "x"), (((1, 0), (0, 1)), ((0, 1), (1, 1))), (1, 0))
+
+
 def _blockwise_radical(algebra):
     """The radical as radical() built it before it was derived: the local
     factors' radicals, embedded block by block."""
@@ -168,8 +174,7 @@ def test_a_bare_product_table_needs_its_factors_only_for_least_generator():
 
 
 def test_a_bare_field_of_four_elements_has_radical_zero_and_is_not_local():
-    # F_2[x]/(x^2+x+1), x^2 = x + 1: local, but with residue field F_4
-    f4 = FinAlgebra(PrimeField(2), ("1", "x"), (((1, 0), (0, 1)), ((0, 1), (1, 1))), (1, 0))
+    f4 = _field_of_four()
     assert f4.radical() == f4.zero_ideal() and not f4.is_local
     assert f4.is_gorenstein()
 
@@ -1106,6 +1111,42 @@ def _module_answers(algebra, domain, targets, order):
     return {name: ask[name]() for name in order}
 
 
+def _sum_of(algebra, coefficients, gens):
+    """sum_j coefficients[j]*gens[j] in the algebra."""
+    total = algebra.zero_vector()
+    for c, x in zip(coefficients, gens):
+        total = linalg.combine((1, 1), (total, algebra.mul(c, x)), algebra.field.p)
+    return total
+
+
+def test_the_nakayama_record_matches_its_definition(binomial_algebras):
+    # rad*I spanned by products, the minimal generators outside it, and a
+    # presentation over them checked by multiplying out, on every ideal
+    product = catalog_product_algebra()
+    algebras = [a for _, a, _ in build_artinian_catalog()] + [product, _bare(product), _field_of_four()]
+    algebras += binomial_algebras(seed=11, count=16) + _apery_algebras()
+    records = 0
+    for algebra in algebras:
+        p, d, rad = algebra.field.p, algebra.dim, algebra.radical()
+        for ideal in algebra.enumerate_ideals():
+            rows, below, expressions, syzygies = algebra.minimal_generators(ideal)
+            products = [algebra.mul(u, w) for u in ideal.matrix for w in rad.matrix]
+            assert below.matrix == linalg.rref(products, p)[0], (algebra.label, ideal)
+            assert rows == tuple(a for a, c in enumerate(ideal.pivots) if c not in below.pivots)
+            gens = [ideal.matrix[a] for a in rows]
+            assert len(expressions) == ideal.dim
+            for row, rs in zip(ideal.matrix, expressions):
+                assert _sum_of(algebra, rs, gens) == row, (algebra.label, ideal)
+            for sigma in syzygies:
+                assert _sum_of(algebra, sigma, gens) == algebra.zero_vector(), (algebra.label, ideal)
+            # the syzygies are independent and span the kernel of R^k -> I
+            assert len(syzygies) == len(rows) * d - ideal.dim
+            flat = [tuple(itertools.chain.from_iterable(sigma)) for sigma in syzygies]
+            assert len(linalg.rref(flat, p)[0]) == len(syzygies)
+            records += 1
+    assert records >= 700, records
+
+
 def test_kept_module_data_answers_as_a_fresh_ideal(binomial_algebras):
     # every query on a fresh ideal computes its data anew; a kept ideal
     # computes each kind once, in either order of the queries, and then reads it
@@ -1418,6 +1459,20 @@ def test_isomorphism_budget_boundary():
         C.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=1)
 
 
+def test_unequal_annihilators_answer_before_the_codomains_record(count_calls):
+    # ann((x)) = (x^2) and ann((y)) = (y^2) differ, so only the domain's
+    # record, which the Hom system reads, is built; the budget check comes
+    # first, and the same pair still raises under a smaller budget
+    B = algebra_from_presentation(5, ("x", "y"), ("x^3", "y^3"))
+    x_ideal = B.ideal_generate([B.element("x")])
+    y_ideal = B.ideal_generate([B.element("y")])
+    records = count_calls("_compute_minimal_generators")
+    assert not B.is_isomorphic(x_ideal, y_ideal)
+    assert records == {"_compute_minimal_generators": 1}
+    with pytest.raises(SearchBudgetExceededError, match="5\\^4 elements, beyond the 2\\^0 budget"):
+        B.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=0)
+
+
 # --- Gorenstein test and enumeration ----------------------------------------------
 
 def test_is_gorenstein_examples(square_corner, fat_point):
@@ -1532,14 +1587,17 @@ def test_is_ideal_through_the_generators_matches_the_basis_oracle(binomial_algeb
     ]
     cube = algebra_from_presentation(3, ("x",), ("x^3",))
     bare = _bare(cube)
+    # bare tables that are not local have no factors, so they are swept whole
+    bare_product, f4 = _bare(catalog_product_algebra()), _field_of_four()
     algebras = (
         [a for _, a, _ in build_artinian_catalog()]
-        + [catalog_product_algebra(), algebra_from_presentation(2, (), ()), bare]
+        + [catalog_product_algebra(), algebra_from_presentation(2, (), ()), bare, bare_product, f4]
         + binomials
         + products
         + _apery_algebras()
     )
     assert len(products) >= 2 and bare.generators == bare.table
+    assert not (bare_product.is_local or f4.is_local) and bare_product.factors is None is f4.factors
     for algebra in algebras:
         disagree, accepted = _is_ideal_against_the_oracle(algebra)
         assert not disagree, algebra.label

@@ -441,19 +441,20 @@ def test_catalog_computes_each_ideals_module_data_once(count_calls):
     counts = count_calls(
         "_compute_generating_rows",
         "_compute_minimal_generators",
-        "_compute_presentation",
         "_compute_annihilator",
         "ideal_generate",
     )
     run_catalog("all")
     # Each ideal keeps its data for its algebra, so the 186 Hom systems of a
-    # pass build one presentation per traced ideal.  The double-annihilator
-    # oracle takes each principal ideal from the table, whose annihilator the
-    # colon check keeps, and builds no ideal from a generator.
+    # pass build one record per domain.  Each of the 85 records carries its
+    # presentation, of which 78 were built when it was kept apart: 7 ideals
+    # are read only by least_generator or as an isomorphism's codomain.  The
+    # double-annihilator oracle takes each principal ideal from the table,
+    # whose annihilator the colon check keeps, and builds no ideal from a
+    # generator.
     assert counts == {
         "_compute_generating_rows": 166,
         "_compute_minimal_generators": 85,
-        "_compute_presentation": 78,
         "_compute_annihilator": 143,
         "ideal_generate": 0,
     }
