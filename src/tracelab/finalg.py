@@ -56,6 +56,7 @@ class IdealSubspace:
         return len(self.matrix)
 
     def contains_vector(self, vec) -> bool:
+        """Whether vec, a tuple with entries in [0, p), lies in the ideal."""
         return linalg.in_rowspace(self.matrix, self.pivots, vec, self.p)
 
     def is_subspace_of(self, other: "IdealSubspace") -> bool:
@@ -100,12 +101,16 @@ class HomBasis:
 def _square(rows, d, p, shape):
     """rows as d tuples of length d with entries in [0, p), or StructureError(shape).
 
-    A row is reduced mod p only when an entry is out of range, so rows that
-    linalg built are kept as they are.
+    The range is tested once on the set of the matrix's entries; the rows are
+    reduced mod p only when an entry is out of range, so rows that linalg
+    built are kept as they are.
     """
     if len(rows) != d or any(len(row) != d for row in rows):
         raise StructureError(shape)
-    return tuple(tuple(row) if 0 <= min(row) and max(row) < p else tuple(x % p for x in row) for row in rows)
+    entries = set().union(*rows)
+    if not entries or (0 <= min(entries) and max(entries) < p):
+        return tuple(map(tuple, rows))
+    return tuple(tuple(x % p for x in row) for row in rows)
 
 
 def _is_basis_vector(v):

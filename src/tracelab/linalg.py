@@ -1,11 +1,19 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Vectors are tuples of ints in [0, p), matrices are tuples of row vectors.
-Everything here is pure and allocation-light; the ambient dimensions in this
-package are tiny, so clarity beats asymptotics.
+Every basis this module reduces against is in rref: each row has a 1 at its
+pivot and 0 at every other pivot (rref makes one, extend keeps one).  The
+residual of v is then v minus one combination of the rows, the coefficients
+being v's entries at the pivots, so a membership test is one combine.
+combine adds a row whose coefficient is 1, as every one over F_2 is, in one
+map over operator.add, and reduces mod p once.  The ambient dimensions in
+this package are tiny, so no asymptotically faster method is worth its code.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import add, mod, sub
 
 
 def rref(rows, p):
@@ -39,21 +47,37 @@ def rref(rows, p):
 
 
 def reduce_vector(matrix, pivots, vec, p):
-    """Residual of vec after elimination against an rref matrix."""
-    res = list(vec)
-    for row, c in zip(matrix, pivots):
-        f = res[c] % p
-        if f:
-            res = [(x - f * y) % p for x, y in zip(res, row)]
-    return tuple(x % p for x in res)
+    """Residual of vec modulo the row space of a matrix in rref, as a tuple
+    reduced mod p: vec minus the combination of the rows whose coefficients
+    are vec's entries at the pivots, which is zero at every pivot."""
+    coeffs = [vec[c] for c in pivots]
+    if not any(coeffs):
+        return tuple(map(mod, vec, repeat(p)))
+    return tuple(map(mod, map(sub, vec, combine(coeffs, matrix, p)), repeat(p)))
+
+
+def in_rowspace(matrix, pivots, vec, p):
+    """Whether vec lies in the row space of a matrix in rref: whether it
+    equals the combination of the rows whose coefficients are its entries at
+    the pivots.
+
+    vec's entries must be in [0, p), as everywhere in this module: they are
+    compared as given, so reduce any other vector first (reduce_vector takes
+    any ints).
+    """
+    coeffs = [vec[c] for c in pivots]
+    if not any(coeffs):
+        return not any(vec)
+    return combine(coeffs, matrix, p) == tuple(vec)
 
 
 def extend(echelon, pivots, vec, p):
-    """Append vec's residual, scaled to a leading 1, to an echelon basis and its
-    pivots (lists) when it is nonzero; True when the span grew.
+    """Append vec's residual, scaled to a leading 1, to a basis in rref and
+    its pivots (lists) when it is nonzero; True when the span grew.
 
-    Each appended row is zero at the earlier pivots, so reduce_vector, which
-    eliminates the rows in order, still reduces against the grown basis.
+    The residual is zero at the earlier pivots, and its pivot is cleared from
+    the earlier rows, so the grown basis is in rref too (its rows in the
+    order they joined, not sorted by pivot).
     """
     if not any(vec):
         return False
@@ -62,7 +86,11 @@ def extend(echelon, pivots, vec, p):
     if c is None:
         return False
     inv = pow(residual[c], p - 2, p)
-    echelon.append(tuple(x * inv % p for x in residual))
+    row = tuple(x * inv % p for x in residual)
+    for i, other in enumerate(echelon):
+        if other[c]:
+            echelon[i] = combine((1, p - other[c]), (other, row), p)
+    echelon.append(row)
     pivots.append(c)
     return True
 
@@ -79,16 +107,18 @@ def combine(coeffs, rows, p):
         return (0,) * len(rows[0])
     if nonzero == 1 and 1 in coeffs:
         return rows[coeffs.index(1)]
-    out = [0] * len(rows[0])
+    out = None
     for c, row in zip(coeffs, rows):
-        if c:
+        if c == 1:
+            out = row if out is None else list(map(add, out, row))
+        elif c:
+            if out is None:
+                out = [0] * len(row)
+            elif type(out) is tuple:
+                out = list(out)
             for k, x in enumerate(row):
                 out[k] += c * x
-    return tuple(x % p for x in out)
-
-
-def in_rowspace(matrix, pivots, vec, p):
-    return not any(reduce_vector(matrix, pivots, vec, p))
+    return tuple(map(mod, out, repeat(p)))
 
 
 def right_kernel(rows, ncols, p):

@@ -125,6 +125,21 @@ def test_shapes_are_checked_before_anything_else(fat_point):
         assert str(raised.value) == message
 
 
+def test_caller_given_rows_out_of_range_are_reduced():
+    # one table entry and one whole generator row shifted out of [0, p),
+    # above p or below 0: both matrices are reduced, and the algebra is the same
+    A = algebra_from_presentation(3, ("x", "y"), ("x^2", "y^2"))
+    d = A.dim
+    for shift in (3, -3, 6):
+        for m in range(d):
+            table = [list(cell) for cell in A.table]
+            table[m][m - 1] = tuple(x + shift if k == m else x for k, x in enumerate(table[m][m - 1]))
+            generators = [list(g) for g in A.generators]
+            generators[-1][m] = tuple(x + shift for x in generators[-1][m])
+            given = FinAlgebra(A.field, A.basis_labels, table, A.unit, generators=generators)
+            assert (given.table, given.generators, given.radical()) == (A.table, A.generators, A.radical())
+
+
 def _bare(algebra):
     """The algebra's table alone: no generators, factors or presentation."""
     return FinAlgebra(algebra.field, algebra.basis_labels, algebra.table, algebra.unit)
@@ -703,7 +718,9 @@ def test_the_walk_pays_extend_only_off_the_coordinate_span():
     """F_2[x,y,z]/(x^3,y^3,z^3): 81 candidates, 27 distinct, all coordinate
     vectors or zero.  The whole construction spends one linalg.extend, on the
     zero vector, and 189 row combinations (81 candidates, 108 in the radical);
-    the oracle walk spends 82 and 1,053."""
+    the oracle walk spends 82 and 1,081: each of the 28 nonzero candidates
+    already in the span costs its residual one combination (1,053 when the
+    residual was eliminated row by row)."""
 
     def work(validate):
         calls = collections.Counter()
@@ -716,7 +733,7 @@ def test_the_walk_pays_extend_only_off_the_coordinate_span():
         return dict(calls)
 
     assert work(FinAlgebra._validate) == {"extend": 1, "combine": 189}
-    assert work(_oracle_walk) == {"extend": 82, "combine": 1053}
+    assert work(_oracle_walk) == {"extend": 82, "combine": 1081}
 
 
 def test_presentations_past_the_caps_are_refused_before_the_work():
@@ -1674,15 +1691,18 @@ def test_subspace_counts_against_the_sweep_budget():
 
 def test_one_sweep_counts_its_row_reductions(monkeypatch, count_calls):
     # a dim-7 F_2 algebra of the benchmark's sweep pool: 29,212 subspaces, each
-    # built in rref and tested once under the 2 variables; testing under all 7
-    # basis elements made 135,732 reductions, and eliminating each built
-    # subspace again made 29,212 rrefs
+    # built in rref and tested once under the 2 variables: 32,756 products
+    # g*v, each tested by in_rowspace, 27,481 of them with one combination of
+    # the rows and none with a row-by-row reduce_vector (32,756 before);
+    # testing under all 7 basis elements made 135,732 reductions, and
+    # eliminating each built subspace again made 29,212 rrefs
     algebra = algebra_from_presentation(2, ("x", "y"), ("x^3", "x^2*y", "y^3"))
     calls = _count_linalg_calls(monkeypatch)
     visits = count_calls("is_ideal")
     assert len(algebra.enumerate_ideals(cap_dim=7)) == 30
     assert visits["is_ideal"] == finalg.subspace_count(2, 7) == 29212
-    assert (calls["rref"], calls["reduce_vector"]) == (0, 32756), calls
+    assert (calls["rref"], calls["reduce_vector"]) == (0, 0), calls
+    assert (calls["in_rowspace"], calls["combine"]) == (32756, 32756 + 27481), calls
 
 
 # --- products -----------------------------------------------------------------------

@@ -100,7 +100,68 @@ def _combination(draw):
 @example(((0, 0), [(1, 2), (2, 1)], 3))
 @example(((0, 1), [(1, 2), (2, 1)], 3))
 @example(((0, 2), [(1, 2), (2, 1)], 3))
+@example(((1, 2, 1), [(1, 2), (2, 1), (1, 1)], 3))
 def test_combine_matches_the_naive_sum(case):
     coeffs, rows, p = case
     naive = tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(len(rows[0])))
     assert linalg.combine(coeffs, rows, p) == naive
+
+
+def _oracle_residual(matrix, pivots, vec, p):
+    """reduce_vector as it was: eliminate the rows in order, each against the
+    residual so far, which is right for any echelon basis whose rows are zero
+    at the earlier pivots."""
+    res = list(vec)
+    for row, c in zip(matrix, pivots):
+        f = res[c] % p
+        if f:
+            res = [(x - f * y) % p for x, y in zip(res, row)]
+    return tuple(x % p for x in res)
+
+
+@st.composite
+def _vectors_and_probe(draw):
+    """(vectors, probe, shifted, p): up to 8 sparse or dense vectors over
+    F_p; a probe that is a combination of them, maybe plus another vector;
+    and the probe with its entries shifted by multiples of p (so not reduced
+    mod p)."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 2**61 - 1)))
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+    vector = st.tuples(*[entry] * ncols)
+    vectors = draw(st.lists(vector, max_size=8))
+    coeffs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+    probe = [sum(c * v[k] for c, v in zip(coeffs, vectors)) % p for k in range(ncols)]
+    if draw(st.booleans()):
+        probe = [(x + y) % p for x, y in zip(probe, draw(vector))]
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+    return vectors, tuple(probe), tuple(x + s * p for x, s in zip(probe, shifts)), p
+
+
+@given(_vectors_and_probe())
+@example(([(1, 1), (0, 1)], (1, 0), (-1, 2), 2))
+@example(([(1, 2, 0), (2, 1, 1)], (0, 0, 1), (3, -3, 4), 3))
+def test_one_combination_residuals_match_the_sequential_elimination(case):
+    vectors, probe, shifted, p = case
+    matrix, pivots = linalg.rref(vectors, p)
+    residual = _oracle_residual(matrix, pivots, shifted, p)
+    assert linalg.reduce_vector(matrix, pivots, shifted, p) == residual
+    assert all(0 <= x < p for x in residual)
+    assert linalg.in_rowspace(matrix, pivots, probe, p) == (not any(residual))
+
+    echelon, grown = [], []
+    for k, v in enumerate(vectors):
+        grew = linalg.extend(echelon, grown, v, p)
+        assert grew == (linalg.rank(vectors[: k + 1], p) > linalg.rank(vectors[:k], p))
+        assert all(row[c] == (i == j) for i, row in enumerate(echelon) for j, c in enumerate(grown))
+    assert linalg.rref(echelon, p) == (matrix, pivots)
+    assert linalg.reduce_vector(echelon, grown, shifted, p) == residual
+
+
+def test_in_rowspace_compares_the_entries_as_given():
+    # reduce_vector takes any ints; in_rowspace takes vectors reduced mod p,
+    # as everywhere in linalg, and compares their entries as given
+    mat, pivots = linalg.rref(((1, 0, 1),), 3)
+    assert linalg.reduce_vector(mat, pivots, (4, 3, -2), 3) == (0, 0, 0)
+    assert linalg.in_rowspace(mat, pivots, (1, 0, 1), 3)
+    assert not linalg.in_rowspace(mat, pivots, (4, 3, -2), 3)
