@@ -9,6 +9,7 @@ emitted), 2 on usage or ring-spec errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -249,17 +250,27 @@ def _caps_from_args(args) -> dict:
 
 def _emit(chunks, out_path):
     """Write the chunks, one by one, to stdout or to the file out_path, which
-    is opened before the first chunk is made."""
-    if not out_path:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        return
+    is opened before the first chunk is made.  A write that fails, also to a
+    stdout closed early, is SpecError("bad-schema"); stdout, flushed here, is
+    then pointed at os.devnull when it has a descriptor, so the flush at exit
+    does not fail again."""
     try:
+        if not out_path:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", encoding="utf-8") as handle:
             for chunk in chunks:
                 handle.write(chunk)
     except OSError as exc:
-        raise SpecError("bad-schema", f"cannot write report file {out_path!r}: {exc}") from exc
+        if not out_path:
+            with contextlib.suppress(OSError):  # a stdout without one raises io.UnsupportedOperation
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        target = f"file {out_path!r}" if out_path else "to stdout"
+        raise SpecError("bad-schema", f"cannot write report {target}: {exc}") from exc
 
 
 def _run_op(kind: str, ring, args, caps) -> str:

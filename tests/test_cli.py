@@ -3,6 +3,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -436,6 +439,27 @@ def test_a_write_that_fails_after_the_file_is_opened_exits_two(capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error[bad-schema]: cannot write report file 'report.txt': ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a report larger than stdout's buffer fails in a write, a short one in the flush
+        ("catalog", "--suite", "all", "--format", "json"),
+        ("semigroup", "--gens", "3,4", "--op", "trace", "--ideal", "0"),
+    ],
+)
+def test_a_stdout_closed_early_exits_two_without_a_traceback(args):
+    # the read end closes before the child, still importing, writes
+    src = Path(tracelab.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "tracelab.cli", *args]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert err.startswith("error[bad-schema]: cannot write report to stdout: ")
+    assert err.count("\n") == 1, err
 
 
 def test_reports_are_written_check_by_check():

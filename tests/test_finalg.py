@@ -967,13 +967,27 @@ def _coordinates(ideal, vec):
     return tuple(vec[c] for c in ideal.pivots)
 
 
+def _map_matrices(algebra, hom):
+    """The maps of a HomBasis as (dim I) x (dim J) coordinate matrices: row a
+    holds f(v_a) = sum_j r_{a,j}*y_j in the basis of J, v_a the a-th basis row
+    of I, r_{a,j} from the expressions of I's Nakayama record and y_j the
+    image of I's j-th minimal generator."""
+    p, t = algebra.field.p, hom.codomain.dim
+    expressions = algebra.minimal_generators(hom.domain)[2]
+    matrices = []
+    for vec in hom.maps:
+        images = [linalg.combine(vec[j : j + t], hom.codomain.matrix, p) for j in range(0, len(vec), t)]
+        matrices.append(tuple(_coordinates(hom.codomain, _sum_of(algebra, rs, images)) for rs in expressions))
+    return tuple(matrices)
+
+
 def test_hom_maps_are_linear(chain_algebra, fat_point, square_corner):
     for algebra in (chain_algebra, fat_point, square_corner):
         ideals = algebra.enumerate_ideals()
         for domain in ideals:
             for codomain in ideals:
                 hom = algebra.hom_module(domain, codomain)
-                for matrix in hom.maps:
+                for matrix in _map_matrices(algebra, hom):
                     images = [
                         linalg.combine(matrix[a], hom.codomain.matrix, algebra.field.p)
                         for a in range(domain.dim)
@@ -1025,13 +1039,13 @@ def _assert_hom_matches_oracle(algebra, pairs=None):
     p = algebra.field.p
     for domain, codomain in pairs:
         expected = _oracle_hom_module(algebra, domain, codomain)
-        maps = algebra.hom_module(domain, codomain).maps
+        maps = _map_matrices(algebra, algebra.hom_module(domain, codomain))
         assert len(maps) == len(expected), algebra.label
         flat = [[sum(m, ()) for m in found] for found in (maps, expected)]
         assert linalg.rref(flat[0], p) == linalg.rref(flat[1], p), algebra.label
     unit = algebra.unit_ideal()
     for domain in {domain for domain, _ in pairs}:
-        images = [row for m in algebra.hom_module(domain, unit).maps for row in m]
+        images = [row for m in _map_matrices(algebra, algebra.hom_module(domain, unit)) for row in m]
         assert algebra.trace_ideal(domain) == IdealSubspace(p, algebra.dim, linalg.rref(images, p)[0]), algebra.label
 
 
@@ -1409,7 +1423,8 @@ def _oracle_is_isomorphic(algebra, left, right, hom_cap_exponent):
     p = algebra.field.p
     if (p**h - 1).bit_length() > hom_cap_exponent:
         raise SearchBudgetExceededError(f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget")
-    rows_by_index = [[m[a] for m in hom.maps] for a in range(left.dim)]
+    matrices = _map_matrices(algebra, hom)
+    rows_by_index = [[m[a] for m in matrices] for a in range(left.dim)]
     for coeffs in itertools.product(range(p), repeat=h):
         if any(coeffs) and linalg.is_invertible([linalg.combine(coeffs, rows, p) for rows in rows_by_index], p):
             return True
