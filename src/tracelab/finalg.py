@@ -505,15 +505,18 @@ class FinAlgebra:
         cancel.  The basis stays in rref: row i of C*K, for C a right_kernel
         basis and K the basis so far, both in rref, is row f_i of K, f_i the
         pivot of C's row i, plus later rows of K at columns not pivots of C.
+        The first step solves on R's own rows: K is the identity, so the
+        images are w's action rows themselves and C is already the new basis.
         """
         p, d = self.field.p, self.dim
-        kernel = [self.basis_vector(i) for i in range(d)]
+        kernel = None  # R, whose rref basis is the identity
         for _, action in self._generating_rows(right):
-            images = [linalg.combine(r, action, p) for r in kernel]
+            images = action if kernel is None else [linalg.combine(r, action, p) for r in kernel]
             if left.dim:
                 images = [linalg.reduce_vector(left.matrix, left.pivots, y, p) for y in images]
-            kernel = [linalg.combine(c, kernel, p) for c in linalg.right_kernel(list(zip(*images)), len(kernel), p)]
-        return IdealSubspace(p, d, kernel)
+            solved = linalg.right_kernel(list(zip(*images)), len(images), p)
+            kernel = solved if kernel is None else [linalg.combine(c, kernel, p) for c in solved]
+        return self.unit_ideal() if kernel is None else IdealSubspace(p, d, kernel)
 
     # -- homomorphisms and traces -------------------------------------------
 
@@ -601,20 +604,32 @@ class FinAlgebra:
         with images y_j of the minimal generators of left has
         f(left) + rad*right = F + rad*right, F the span of the y_j, so by
         Nakayama f is onto, hence bijective, exactly when the y_j span
-        right/rad*right: a k x k test per candidate.  Isomorphic modules have
-        equal annihilators, so unequal ones answer False after the budget
-        check, which thus raises on the same inputs, and before right's
-        record is read; then unequal k answer False before the search.
+        right/rad*right: a k x k test per candidate.
+
+        Exits, in order: unequal dimensions (False); equal ideals (True);
+        unequal annihilators (False; isomorphic modules have equal ones), here
+        only when p**(k*t) maps fit the budget; the Hom solve and h == 0
+        (False); the budget; unequal annihilators; unequal k (False, from
+        right's record); the search.  Hom(left, right) embeds in right^k, for k
+        minimal generators of left and t = dim right, so h <= k*t: where the
+        annihilators come first the budget check cannot raise, and past that
+        bound the budget comes first.  Either way exactly the pairs with
+        0 < h and p**h maps beyond the budget raise.
         """
         if left.dim != right.dim:
             return False
         if left == right:
             return True
+        p = self.field.p
+        k, t = len(self.minimal_generators(left)[0]), right.dim
+        # p**n - 1 has at least n bits, so p**(k*t) is formed only when k*t is within the cap exponent
+        bounded = k * t <= hom_cap_exponent and (p ** (k * t) - 1).bit_length() <= hom_cap_exponent
+        if bounded and self.annihilator(left) != self.annihilator(right):
+            return False
         kernel = self._hom_system(left, right)
         h = len(kernel)
         if h == 0:
             return False
-        p = self.field.p
         if (p**h - 1).bit_length() > hom_cap_exponent:
             raise SearchBudgetExceededError(
                 f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget"
@@ -623,7 +638,6 @@ class FinAlgebra:
             return False
         rows, below = self.minimal_generators(right)[:2]
         top = [right.pivots[a] for a in rows]
-        k, t = len(self.minimal_generators(left)[0]), right.dim
         if k != len(top):
             return False
 

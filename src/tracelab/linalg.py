@@ -6,13 +6,16 @@ pivot and 0 at every other pivot (rref makes one, extend keeps one).  The
 residual of v is then v minus one combination of the rows, the coefficients
 being v's entries at the pivots, so a membership test is one combine.
 combine adds a row whose coefficient is 1, as every one over F_2 is, in one
-map over operator.add, and reduces mod p once.  The ambient dimensions in
-this package are tiny, so no asymptotically faster method is worth its code.
+map over operator.add, and reduces mod p once.  Two rules cut the arithmetic
+of elimination: a row whose pivot entry is already 1 (every one over F_2) is
+not rescaled, and clearing pivot column c touches only columns c.. of a row,
+since the pivot row is zero left of c.  The ambient dimensions in this
+package are tiny, so no asymptotically faster method is worth its code.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mod, sub
 
 
@@ -21,27 +24,35 @@ def rref(rows, p):
 
     Returns (matrix, pivots) where matrix is a tuple of nonzero rows with
     leading coefficient 1 and pivots is the tuple of pivot column indices.
+    The rows may hold any ints.  A pivot row is rescaled only when its pivot
+    entry is not 1, and it is subtracted from the other rows on columns c..
+    alone, c its pivot: rows r.. are zero at every column before c.
     """
     mat = [[x % p for x in row] for row in rows]
     if not mat:
         return (), ()
-    ncols = len(mat[0])
+    n, ncols = len(mat), len(mat[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, n):
+            if mat[pivot][c]:
+                break
+        else:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
+        row = mat[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = mat[r] = [(x * inv) % p for x in row]
+        for i in range(n):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+                other = mat[i]
+                f = other[c]
+                other[c:] = [(x - f * y) % p for x, y in zip(islice(other, c, None), islice(row, c, None))]
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == n:
             break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
@@ -73,7 +84,8 @@ def in_rowspace(matrix, pivots, vec, p):
 
 def extend(echelon, pivots, vec, p):
     """Append vec's residual, scaled to a leading 1, to a basis in rref and
-    its pivots (lists) when it is nonzero; True when the span grew.
+    its pivots (lists) when it is nonzero; True when the span grew.  A
+    residual whose pivot entry is already 1 joins the basis as it is.
 
     The residual is zero at the earlier pivots, and its pivot is cleared from
     the earlier rows, so the grown basis is in rref too (its rows in the
@@ -85,8 +97,10 @@ def extend(echelon, pivots, vec, p):
     c = next((i for i, x in enumerate(residual) if x), None)
     if c is None:
         return False
-    inv = pow(residual[c], p - 2, p)
-    row = tuple(x * inv % p for x in residual)
+    row = residual
+    if row[c] != 1:
+        inv = pow(row[c], p - 2, p)
+        row = tuple(x * inv % p for x in row)
     for i, other in enumerate(echelon):
         if other[c]:
             echelon[i] = combine((1, p - other[c]), (other, row), p)

@@ -1505,6 +1505,85 @@ def test_unequal_annihilators_answer_before_the_codomains_record(count_calls):
         B.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=0)
 
 
+def _parent_order_is_isomorphic(algebra, left, right, hom_cap_exponent):
+    """is_isomorphic with the Hom solve first: solve, h == 0, budget,
+    annihilators, k, then the search."""
+    if left.dim != right.dim:
+        return False
+    if left == right:
+        return True
+    kernel = algebra._hom_system(left, right)
+    h = len(kernel)
+    if h == 0:
+        return False
+    p = algebra.field.p
+    if (p**h - 1).bit_length() > hom_cap_exponent:
+        raise SearchBudgetExceededError(f"Hom space has {p}^{h} elements, beyond the 2^{hom_cap_exponent} budget")
+    if algebra.annihilator(left) != algebra.annihilator(right):
+        return False
+    rows, below = algebra.minimal_generators(right)[:2]
+    top = [right.pivots[a] for a in rows]
+    k, t = len(algebra.minimal_generators(left)[0]), right.dim
+    if k != len(top):
+        return False
+
+    def residue(coords):
+        y = linalg.reduce_vector(below.matrix, below.pivots, linalg.combine(coords, right.matrix, p), p)
+        return tuple(y[c] for c in top)
+
+    rows_by_index = [[residue(vec[j * t : (j + 1) * t]) for vec in kernel] for j in range(k)]
+    for coeffs in itertools.product(range(p), repeat=h):
+        if any(coeffs) and linalg.is_invertible([linalg.combine(coeffs, rows, p) for rows in rows_by_index], p):
+            return True
+    return False
+
+
+def test_isomorphism_answers_and_raises_as_the_solve_first_order(binomial_algebras):
+    # the annihilator exit moves before the Hom solve only where k*t bounds h
+    # within the budget, so every answer and every budget error stays.  In
+    # the two presented algebras some pairs with unequal annihilators have
+    # h = k*t, so a bound one too large would answer where the solve raises.
+    algebras = [a for _, a, _ in build_artinian_catalog()] + [catalog_product_algebra()]
+    algebras += binomial_algebras(seed=11, count=8)
+    algebras += [algebra_from_presentation(p, "xy", ("x^2", "x*y", "y^3")) for p in (2, 3)]
+    pairs = raised = early = full = 0
+    for algebra in algebras:
+        ideals = algebra.enumerate_ideals()
+        for left, right in itertools.product(ideals, repeat=2):
+            if left.dim != right.dim or left == right:
+                continue
+            pairs += 1
+            kt = len(algebra.minimal_generators(left)[0]) * right.dim
+            separated = algebra.annihilator(left) != algebra.annihilator(right)
+            full += separated and len(algebra._hom_system(left, right)) == kt
+            for cap in (0, 1, 2, 3, 4, 6, 8, 12, 22):
+                expected = _answer(_parent_order_is_isomorphic, algebra, left, right, cap)
+                assert _answer(algebra.is_isomorphic, left, right, cap) == expected, (algebra.label, cap)
+                raised += isinstance(expected, str)
+                early += separated and kt <= cap
+    assert pairs >= 125 and raised >= 250 and early >= 150 and full >= 4, (pairs, raised, early, full)
+
+
+def test_unequal_annihilators_within_the_bound_skip_the_hom_solve(count_calls):
+    # (x*y) and (x*z) have one minimal generator and dimension 12, so
+    # Hom((x*y), (x*z)) has at most 2^12 maps, within the default budget
+    B = algebra_from_presentation(2, ("x", "y", "z"), ("x^3", "y^3", "z^3"))
+    xy, xz = (B.ideal_generate([B.element(e)]) for e in ("x*y", "x*z"))
+    solves = count_calls("_hom_system")
+    assert B.dim == 27 and xy.dim == xz.dim == 12
+    assert not B.is_isomorphic(xy, xz)
+    assert solves == {"_hom_system": 0}
+    # in F_2[x,y]/(x^2,y^2), k*t = 2 for (x) and (y): the solve comes first
+    # at cap 0, where h = 1 exceeds the budget, and not at cap 2
+    C = algebra_from_presentation(2, ("x", "y"), ("x^2", "y^2"))
+    x_ideal, y_ideal = (C.ideal_generate([C.element(e)]) for e in ("x", "y"))
+    with pytest.raises(SearchBudgetExceededError, match="^Hom space has 2\\^1 elements, beyond the 2\\^0 budget$"):
+        C.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=0)
+    assert solves == {"_hom_system": 1}
+    assert not C.is_isomorphic(x_ideal, y_ideal, hom_cap_exponent=2)
+    assert solves == {"_hom_system": 1}
+
+
 # --- Gorenstein test and enumeration ----------------------------------------------
 
 def test_is_gorenstein_examples(square_corner, fat_point):

@@ -1,4 +1,4 @@
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracelab import linalg
@@ -165,3 +165,85 @@ def test_in_rowspace_compares_the_entries_as_given():
     assert linalg.reduce_vector(mat, pivots, (4, 3, -2), 3) == (0, 0, 0)
     assert linalg.in_rowspace(mat, pivots, (1, 0, 1), 3)
     assert not linalg.in_rowspace(mat, pivots, (4, 3, -2), 3)
+
+
+def _oracle_rref(rows, p):
+    """rref as it was: every pivot row rescaled, every row eliminated on all
+    its columns."""
+    mat = [[x % p for x in row] for row in rows]
+    if not mat:
+        return (), ()
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def _oracle_extend(echelon, pivots, vec, p):
+    """extend as it was: every residual rescaled."""
+    if not any(vec):
+        return False
+    residual = linalg.reduce_vector(echelon, pivots, vec, p)
+    c = next((i for i, x in enumerate(residual) if x), None)
+    if c is None:
+        return False
+    inv = pow(residual[c], p - 2, p)
+    row = tuple(x * inv % p for x in residual)
+    for i, other in enumerate(echelon):
+        if other[c]:
+            echelon[i] = linalg.combine((1, p - other[c]), (other, row), p)
+    echelon.append(row)
+    pivots.append(c)
+    return True
+
+
+@st.composite
+def _raw_rows(draw):
+    """(rows, p): 0-8 rows of 1-10 columns with entries in [-2p, 2p], not
+    reduced mod p; rows may repeat or be zero, and entries are often 1 (a
+    pivot that needs no rescale) or p - 1."""
+    p = draw(st.sampled_from((2, 3, 5, 101, 2**61 - 1)))
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-2 * p, 2 * p) | st.sampled_from((0, 1, p + 1, -1, p - 1))
+    row = st.tuples(*[entry] * ncols) | st.just((0,) * ncols)
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return rows, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_raw_rows())
+@example(([(1, 0, 1), (0, 1, 1), (1, 1, 0)], 2))
+@example(([(2, 1, 4), (4, 2, -1), (0, 0, 0), (2, 1, 4)], 5))
+def test_elimination_matches_the_rescaling_oracle(case):
+    rows, p = case
+    assert linalg.rref(rows, p) == _oracle_rref(rows, p)
+
+    echelon, pivots, oracle, oracle_pivots = [], [], [], []
+    for v in rows:
+        v = tuple(x % p for x in v)
+        assert linalg.extend(echelon, pivots, v, p) == _oracle_extend(oracle, oracle_pivots, v, p)
+        assert (echelon, pivots) == (oracle, oracle_pivots)
+
+    if rows:
+        ncols = len(rows[0])
+        kernel = linalg.right_kernel(rows, ncols, p)
+        assert linalg.rref(kernel, p)[0] == kernel
+        assert len(kernel) == ncols - linalg.rank(rows, p)
+        assert all(sum(r * x for r, x in zip(row, vec)) % p == 0 for row in rows for vec in kernel)

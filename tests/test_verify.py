@@ -443,20 +443,26 @@ def test_catalog_computes_each_ideals_module_data_once(count_calls):
         "_compute_minimal_generators",
         "_compute_annihilator",
         "ideal_generate",
+        "_hom_system",
+        "colon_in_ring",
     )
     run_catalog("all")
-    # Each ideal keeps its data for its algebra, so the 186 Hom systems of a
+    # Each ideal keeps its data for its algebra, so the 172 Hom systems of a
     # pass build one record per domain.  Each of the 85 records carries its
     # presentation, of which 78 were built when it was kept apart: 7 ideals
     # are read only by least_generator or as an isomorphism's codomain.  The
     # double-annihilator oracle takes each principal ideal from the table,
     # whose annihilator the colon check keeps, and builds no ideal from a
-    # generator.
+    # generator.  The Hom systems were 186 while is_isomorphic solved before
+    # every exit: 14 pairs with unequal annihilators, whose Hom space k*t
+    # bounds within the budget, now answer before the solve.
     assert counts == {
         "_compute_generating_rows": 166,
         "_compute_minimal_generators": 85,
         "_compute_annihilator": 143,
         "ideal_generate": 0,
+        "_hom_system": 172,
+        "colon_in_ring": 216,
     }
 
 
