@@ -328,9 +328,6 @@ class FinAlgebra:
 
     # -- elements ----------------------------------------------------------
 
-    def basis_vector(self, i):
-        return (0,) * i + (1,) + (0,) * (self.dim - i - 1)
-
     def zero_vector(self):
         return (0,) * self.dim
 

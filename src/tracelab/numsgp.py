@@ -163,14 +163,16 @@ class RelativeIdeal:
     @classmethod
     def from_members(cls, sgp, bits, offset):
         """The ideal {offset + z : bit z of bits is set}, for a negative bits."""
-        ideal = cls.__new__(cls)
         low = _lowest(bits)
-        ideal.sgp, ideal.min, ideal.bits = sgp, offset + low, bits >> low
+        bits >>= low
+        outside = ~bits
         for g in sgp.generators:
-            escaped = (ideal.bits << g) & ~ideal.bits
+            escaped = (bits << g) & outside
             if escaped:
-                z = ideal.min + _lowest(escaped)
+                z = offset + low + _lowest(escaped)
                 raise StructureError(f"not closed: {z - g} + {g} = {z} escapes the ideal")
+        ideal = cls.__new__(cls)
+        ideal.sgp, ideal.min, ideal.bits = sgp, offset + low, bits
         return ideal
 
     @property
@@ -374,33 +376,53 @@ def enumerate_normalized_ideals(sgp: NumericalSemigroup, cap: int = DEFAULT_GAP_
     """All relative ideals with min 0, in ascending order of their bitsets.
 
     Such an ideal is S with a set of gaps closed under adding the generators.
-    Deciding the gaps from the largest down, a gap may join exactly when
-    gap + g is already a member for every generator g, and leaving it out is
-    always allowed, so every branch ends in an ideal.  Ascending bitset order
-    is the ascending gap-mask order over the sorted gaps.
+    A gap h may join an ideal exactly when h + g is a member for every
+    generator g, that is when the ideal holds step << h, where step has the
+    bits of the generators.  The walk starts at S and adds one joinable gap
+    at a time, always below the last one added.  Every prefix of an ideal's
+    gaps in descending order is an ideal, so every node is an ideal and each
+    is reached once, by that order.  Each node carries its joinable gaps below
+    the last one added; when gap z joins, only the gaps z - g can become
+    joinable, and only they are tested.  The work is one node per ideal plus
+    at most one test per (added gap, generator).  Ascending bitset order is
+    the ascending gap-mask order over the sorted gaps; the walk visits a node
+    before its children and those from the lowest gap up, so it finds the
+    ideals in that order and the final sort is one pass.
 
     EnumerationCapExceededError is raised before the walk when the genus
     exceeds cap, and during it once more than IDEAL_BUDGET ideals are found:
-    the work is the number of ideals, up to 2^genus for <g+1, ..., 2g+1>.
+    there are up to 2^genus of them, for <g+1, ..., 2g+1>.
     """
     n = (~sgp.bits).bit_count()  # the genus, counted before any gap is listed
     if n > cap:
         raise EnumerationCapExceededError(f"{n} gaps exceed the enumeration cap {cap}")
-    gaps = sgp.gaps[::-1]
-    needs = [sum(1 << (h + g) for g in sgp.generators) for h in gaps]
-    found, stack = [], [(0, sgp.bits)]
+    gens, gaps = sgp.generators, sgp.gaps
+    step = sum(1 << g for g in gens)
+    retest = {z: [] for z in gaps}  # z: (bit of h, step << h) for the gaps h = z - g
+    joinable = 0
+    for h in gaps:
+        need = step << h
+        if sgp.bits & need == need:
+            joinable |= 1 << h
+        for g in gens:
+            if h + g in retest:
+                retest[h + g].append((1 << h, need))
+    found, stack = [], [(sgp.bits, joinable)]
     while stack:
-        i, bits = stack.pop()
-        if i == n:
-            if len(found) == IDEAL_BUDGET:
-                raise EnumerationCapExceededError(
-                    f"more than {IDEAL_BUDGET} ideals exceed the ideal budget {IDEAL_BUDGET}"
-                )
-            found.append(bits)
-            continue
-        stack.append((i + 1, bits))
-        if bits & needs[i] == needs[i]:
-            stack.append((i + 1, bits | 1 << gaps[i]))
+        bits, joinable = stack.pop()
+        if len(found) == IDEAL_BUDGET:
+            raise EnumerationCapExceededError(
+                f"more than {IDEAL_BUDGET} ideals exceed the ideal budget {IDEAL_BUDGET}"
+            )
+        found.append(bits)
+        while joinable:
+            z = joinable.bit_length() - 1
+            joinable ^= 1 << z
+            child, below = bits | 1 << z, joinable
+            for bit, need in retest[z]:
+                if child & need == need:
+                    below |= bit
+            stack.append((child, below))
     return [RelativeIdeal.from_members(sgp, bits, 0) for bits in sorted(found)]
 
 

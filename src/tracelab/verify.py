@@ -150,10 +150,20 @@ def ideal_table(algebra: FinAlgebra, cap_dim=None) -> list:
     return [IdealRecord(i, algebra.trace_ideal(i), algebra.least_generator(i)) for i in ideals]
 
 
-def _table_once(algebra, caps):
-    """What _suite enumerates for an artinian suite: the algebra's
-    ideal_table under caps["dim"], built on the first call and kept."""
-    return cache(partial(ideal_table, algebra, caps["dim"]))
+def semigroup_table(sgp: NumericalSemigroup, cap: int) -> list:
+    """(ideal, trace) for each normalized ideal, in the order of
+    enumerate_normalized_ideals under the gap cap, which raises before any
+    trace is taken."""
+    return [(e, trace(e)) for e in enumerate_normalized_ideals(sgp, cap)]
+
+
+def _table_once(ring, caps):
+    """What _suite enumerates for a suite of ring, built on the first call and
+    kept: ideal_table under caps["dim"] for a FinAlgebra, semigroup_table
+    under caps["gaps"] for a NumericalSemigroup."""
+    if isinstance(ring, FinAlgebra):
+        return cache(partial(ideal_table, ring, caps["dim"]))
+    return cache(partial(semigroup_table, ring, caps["gaps"]))
 
 
 def _principal(table):
@@ -322,21 +332,25 @@ def _artinian_identities(algebra, hom_cap, table):
 # ---------------------------------------------------------------------------
 
 
-def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) -> VerificationReport:
+def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None, source=None) -> VerificationReport:
     """Monomial-ideal trace-translate suite for a numerical semigroup ring.
 
     Checks, for every normalized monomial ideal E, whether trace(E) is a
     translate of E; the verdict is "monomial ideals pass" or "counterexample
     found" together with the first failing pair.  Cross-checks the verdict
-    against the multiplicity-two classification.
+    against the multiplicity-two classification.  source is a _table_once of
+    sgp under caps, or None to make one.
     """
     caps = caps or default_caps()
     report = VerificationReport(ring=sgp.label, suite="lp", caps=caps, verdict="undecided")
+    texts = {}  # each distinct trace is formatted once
 
-    def translate(ideal, text):
-        tr = trace(ideal)
+    def translate(ideal, tr, text):
+        trace_text = texts.get(tr)
+        if trace_text is None:
+            trace_text = texts[tr] = tr.format()
         offset = is_translate(ideal, tr).offset
-        return offset is not None, {"E": text, "trace": tr.format(), "offset": offset}
+        return offset is not None, {"E": text, "trace": trace_text, "offset": offset}
 
     def classification():
         counterexample = next((c.witness for c in report.checks if c.status == "fail"), None)
@@ -352,41 +366,47 @@ def run_semigroup_lp_suite(sgp: NumericalSemigroup, caps: dict | None = None) ->
         }
         return (not counterexample) == (sgp.multiplicity <= 2), witness
 
-    def groups(ideals):
-        for e in ideals:
+    def groups(table):
+        for e, tr in table:
             text = e.format()
-            yield [(f"trace-is-translate[{text}]", "monomial-trace-isomorphism", partial(translate, e, text))]
+            yield [(f"trace-is-translate[{text}]", "monomial-trace-isomorphism", partial(translate, e, tr, text))]
         anchor = "dimension-one-multiplicity-two-classification"
         yield [("verdict-matches-multiplicity-classification", anchor, classification)]
 
     capped = (("trace-is-translate", "monomial-trace-isomorphism"),)
-    _suite(report.checks, lambda: enumerate_normalized_ideals(sgp, caps["gaps"]), capped, groups)
+    _suite(report.checks, source or _table_once(sgp, caps), capped, groups)
     return report
 
 
-def _semigroup_identities(sgp, ideals):
+def _semigroup_identities(sgp, table):
     """The groups of the semigroup identity suite."""
     s_ideal = semigroup_as_ideal(sgp)
-    data = [(e, trace(e), dual(e)) for e in ideals]
+    duals = [dual(e) for e, _ in table]
+
+    def data():
+        """(ideal, trace, dual) for each row of the table; the duals are kept
+        in a list of their own, so no second list of rows is made."""
+        return ((e, tr, dl) for (e, tr), dl in zip(table, duals))
 
     def idempotent():
-        return _first({"E": e.format()} for e, tr, _ in data if trace(tr) != tr)
+        fixed = {tr: trace(tr) == tr for tr in {tr for _, tr in table}}  # one trace per distinct trace
+        return _first({"E": e.format()} for e, tr in table if not fixed[tr])
 
     def uncontained():
-        for e, tr, dl in data:
+        for e, tr, dl in data():
             if not e.shift(dl.min).is_subset_of(tr):
                 yield {"E": e.format(), "trace": tr.format(), "offset": dl.min}
             elif dl.contains(0) and not e.is_subset_of(tr):
                 yield {"E": e.format(), "trace": tr.format(), "offset": 0}
 
     def self_colon():
-        return _first({"E": e.format()} for e, tr, dl in data if (tr == e) != (ideal_colon(e, e) == dl))
+        return _first({"E": e.format()} for e, tr, dl in data() if (tr == e) != (ideal_colon(e, e) == dl))
 
     def triple_dual():
-        return _first({"E": e.format()} for e, _, dl in data if dual(dual(dl)) != dl)
+        return _first({"E": e.format()} for e, _, dl in data() if dual(dual(dl)) != dl)
 
     def unrecovered():
-        for e, tr, _ in data:
+        for e, tr in table:
             if is_reflexive(e) and tr == e:
                 endo = ideal_colon(e, e)
                 if trace(endo) != e:
@@ -415,7 +435,7 @@ def _semigroup_identities(sgp, ideals):
     def free_dual():
         return _first(
             {"E": e.format(), "dual": dl.format(), "trace": tr.format()}
-            for e, tr, dl in data
+            for e, tr, dl in data()
             if is_translate(s_ideal, dl) and not is_translate(e, tr)
         )
 
@@ -449,20 +469,17 @@ def _semigroup_identities(sgp, ideals):
 
 
 def run_identity_suite(target, caps: dict | None = None, source=None) -> VerificationReport:
-    """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup.  For
-    a FinAlgebra, source is a _table_once of it under caps, or None to make
-    one."""
+    """Engine-invariant suite for a FinAlgebra or a NumericalSemigroup.
+    source is a _table_once of it under caps, or None to make one."""
     caps = caps or default_caps()
     if isinstance(target, FinAlgebra):
-        ideals = source or _table_once(target, caps)
         groups = partial(_artinian_identities, target, caps["hom"])
     elif isinstance(target, NumericalSemigroup):
-        ideals = partial(enumerate_normalized_ideals, target, caps["gaps"])
         groups = partial(_semigroup_identities, target)
     else:
         raise TypeError(f"no identity suite for {type(target).__name__}")
     report = VerificationReport(ring=target.label, suite="identities", caps=caps)
-    _suite(report.checks, ideals, _IDENTITY_SUITE, groups)
+    _suite(report.checks, source or _table_once(target, caps), _IDENTITY_SUITE, groups)
     if report.has_failures:
         report.verdict = "identity violated"
     else:
@@ -545,18 +562,19 @@ def run_suites(ring, suite: str = "all", caps: dict | None = None) -> list:
     """The lp report, the identities report, or both ("all"), of one
     FinAlgebra or NumericalSemigroup.
 
-    For "all" on a FinAlgebra both suites read one ideal_table, built on the
-    first suite's call.  When its enumeration is over a cap, each suite
-    raises that, before any work, and skips its own checks.
+    For "all" both suites read one table, built on the first suite's call
+    through _table_once: one enumeration, and one trace per ideal.  When the
+    enumeration is over a cap, each suite raises that, before any work, and
+    skips its own checks.
     """
     caps = caps or default_caps()
     if suite not in ("lp", "identities", "all"):
         raise ValueError(f"unknown suite {suite!r}")
-    artinian = isinstance(ring, FinAlgebra)
-    source = _table_once(ring, caps) if artinian else None
+    source = _table_once(ring, caps)
+    lp_suite = run_artinian_lp_suite if isinstance(ring, FinAlgebra) else run_semigroup_lp_suite
     reports = []
     if suite != "identities":
-        reports.append(run_artinian_lp_suite(ring, caps, source) if artinian else run_semigroup_lp_suite(ring, caps))
+        reports.append(lp_suite(ring, caps, source))
     if suite != "lp":
         reports.append(run_identity_suite(ring, caps, source))
     return reports
@@ -620,25 +638,48 @@ def _dict_key(key):
     return encode_basestring_ascii(key)
 
 
+def _scalar_items(obj, separator):
+    """The items of a dict whose values are all str, int, bool or None, as
+    json.dumps writes them with sort_keys, joined by separator; None when a
+    value is of another type."""
+    items = []
+    for key, value in sorted(obj.items()):
+        if isinstance(value, str):
+            text = encode_basestring_ascii(value)
+        elif value is None:
+            text = "null"
+        elif value is True or value is False:
+            text = "true" if value else "false"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        else:
+            return None
+        items.append(f"{_dict_key(key)}: {text}")
+    return separator.join(items)
+
+
 def _to_json(obj, depth=0):
     """json.dumps(obj, indent=2, sort_keys=True) for obj at nesting depth
     `depth`, byte for byte.
 
     That call runs the pure-Python encoder, since the C one takes no indent.
-    A container whose values are all scalars or empty containers is written
-    by one call of the C encoder, whose separator already holds the indent,
-    and the brackets are laid out around it; deeper containers recurse."""
+    A dict whose values are all str, int, bool or None, such as most check
+    witnesses, is written as one join of its items.  Any other container
+    whose values are all scalars or empty containers is written by one call
+    of the C encoder, whose separator already holds the indent, and the
+    brackets are laid out around it; deeper containers recurse."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _flat_encoder(depth).encode(obj)
     is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
     inner = "\n" + "  " * (depth + 1)
-    if all(not isinstance(v, _CONTAINERS) or not v for v in values):
-        body = _flat_encoder(depth).encode(obj)[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(f"{_dict_key(k)}: {_to_json(v, depth + 1)}" for k, v in sorted(obj.items()))
-    else:
-        body = ("," + inner).join(_to_json(v, depth + 1) for v in obj)
+    body = _scalar_items(obj, "," + inner) if is_dict else None
+    if body is None:
+        if all(not isinstance(v, _CONTAINERS) or not v for v in (obj.values() if is_dict else obj)):
+            body = _flat_encoder(depth).encode(obj)[1:-1]
+        elif is_dict:
+            body = ("," + inner).join(f"{_dict_key(k)}: {_to_json(v, depth + 1)}" for k, v in sorted(obj.items()))
+        else:
+            body = ("," + inner).join(_to_json(v, depth + 1) for v in obj)
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
 
@@ -652,7 +693,7 @@ def _json_chunks(report):
 
     Each check is written from its fields, in key order, with no dict built
     for it; its witness goes through _to_json, which writes a witness of
-    scalars with one call of the C encoder."""
+    strings, ints, bools and None as one join."""
     outer = "\n" + "  " * 3
     item = outer + "  "
     key = item + "  "

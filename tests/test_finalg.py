@@ -567,13 +567,18 @@ def test_derived_tables_match_the_oracles_through_a_change_of_basis(monkeypatch,
         assert _walk_solves(monkeypatch, product) == 1
 
 
+def _basis_vector(d, i):
+    """e_i in F_p^d."""
+    return (0,) * i + (1,) + (0,) * (d - i - 1)
+
+
 def _oracle_walk(self):
     """FinAlgebra._validate before its walk knew any answer in advance: every
     candidate g(w) goes through linalg.extend, tried or not, and M_v = M_w*G
     and the commute check combine every row."""
     d, p = self.dim, self.field.p
     given, generators = self.table, self.generators
-    identity = tuple(self.basis_vector(i) for i in range(d))
+    identity = tuple(_basis_vector(d, i) for i in range(d))
     if given is not None:
         if tuple(zip(*given)) != given:
             raise StructureError("multiplication table is not commutative")
@@ -660,7 +665,7 @@ def _rebased(presentation, seed):
     while linalg.rank(P, p) < d:
         P = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(d)]
     # rref(P | I) = (I | P^-1)
-    inverse = [row[d:] for row in linalg.rref([row + algebra.basis_vector(i) for i, row in enumerate(P)], p)[0]]
+    inverse = [row[d:] for row in linalg.rref([row + _basis_vector(d, i) for i, row in enumerate(P)], p)[0]]
 
     def rebase(vec):
         return linalg.combine(vec, inverse, p)
@@ -754,7 +759,7 @@ def _oracle_maximal_ideal(algebra):
     """The candidate-ideal check: the ideal generated by the non-unit basis
     vectors must have codimension 1 and be nilpotent."""
     d = algebra.dim
-    non_unit = [algebra.basis_vector(k) for k in range(d) if algebra.basis_vector(k) != algebra.unit]
+    non_unit = [_basis_vector(d, k) for k in range(d) if _basis_vector(d, k) != algebra.unit]
     candidate = algebra.ideal_generate(non_unit)
     if candidate.dim != d - 1:
         raise NotLocalError("non-constant monomials do not span a proper ideal")
@@ -993,7 +998,7 @@ def test_hom_maps_are_linear(chain_algebra, fat_point, square_corner):
                         for a in range(domain.dim)
                     ]
                     for i in range(algebra.dim):
-                        e_i = algebra.basis_vector(i)
+                        e_i = _basis_vector(algebra.dim, i)
                         for a, v in enumerate(domain.matrix):
                             moved = _coordinates(domain, algebra.mul(e_i, v))
                             lhs = algebra.zero_vector()

@@ -447,13 +447,64 @@ def test_enumerate_matches_the_gap_mask_oracle(gens):
     assert [e.members_below(sgp.conductor) for e in found] == _oracle_normalized_ideals(sgp)
 
 
+def _oracle_gap_decision_walk(sgp, cap=numsgp.DEFAULT_GAP_CAP):
+    """The bitsets of the normalized ideals, sorted, by deciding every gap
+    from the largest down: a gap may join when gap + g is a member for every
+    generator g, and leaving it out is always allowed.  This is one Python
+    decision per (branch, gap), with the cap and budget rules of
+    enumerate_normalized_ideals."""
+    n = len(sgp.gaps)
+    if n > cap:
+        raise EnumerationCapExceededError(f"{n} gaps exceed the enumeration cap {cap}")
+    gaps = sgp.gaps[::-1]
+    needs = [sum(1 << (h + g) for g in sgp.generators) for h in gaps]
+    found, stack = [], [(0, sgp.bits)]
+    while stack:
+        i, bits = stack.pop()
+        if i == n:
+            if len(found) == IDEAL_BUDGET:
+                raise EnumerationCapExceededError(
+                    f"more than {IDEAL_BUDGET} ideals exceed the ideal budget {IDEAL_BUDGET}"
+                )
+            found.append(bits)
+            continue
+        stack.append((i + 1, bits))
+        if bits & needs[i] == needs[i]:
+            stack.append((i + 1, bits | 1 << gaps[i]))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(5, 12), (3, 23), (2, 45), (7, 9), (3, 4, 5), tuple(range(6, 12)), tuple(range(17, 34))],
+    ids=lambda gens: ",".join(map(str, gens)),
+)
+def test_enumerate_matches_the_gap_decision_oracle(gens):
+    """Up to the default cap, and at exactly the ideal budget for <17,...,33>."""
+    sgp = semigroup_new(gens)
+    found = enumerate_normalized_ideals(sgp)
+    assert all(e.min == 0 for e in found)
+    assert [e.bits for e in found] == _oracle_gap_decision_walk(sgp)
+
+
+def test_enumerate_refuses_as_the_gap_decision_oracle_does():
+    for gens, cap in (((3, 4), 2), ((7, 9), 23), (range(25, 50), 24), (range(18, 36), 24)):
+        sgp = semigroup_new(gens)
+        with pytest.raises(EnumerationCapExceededError) as expected:
+            _oracle_gap_decision_walk(sgp, cap)
+        with pytest.raises(EnumerationCapExceededError) as raised:
+            enumerate_normalized_ideals(sgp, cap)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_two_generator_ideals_number_the_rational_catalan_number():
     """The normalized ideals of <a,b> are its 0-normalized semimodules, and
     those number the rational Catalan number (a+b-1)!/(a!*b!) (Gorsky-Mazin,
-    Compactified Jacobians and q,t-Catalan numbers I, JCTA 2013)."""
+    Compactified Jacobians and q,t-Catalan numbers I, JCTA 2013).  <2,4001>
+    has 2001 of them and <3,301> has 15,251."""
     pairs = [(a, b) for a in range(2, 10) for b in range(a + 1, 21 - a) if math.gcd(a, b) == 1]
-    pairs += [(4, 21), (3, 46), (2, 61), (11, 12)]
-    assert len(pairs) == 49
+    pairs += [(4, 21), (3, 46), (2, 61), (11, 12), (2, 4001), (3, 301)]
+    assert len(pairs) == 51
     for a, b in pairs:
         sgp = semigroup_new((a, b))
         found = enumerate_normalized_ideals(sgp, cap=len(sgp.gaps))
@@ -471,6 +522,21 @@ def test_enumerate_budget():
     assert len(enumerate_normalized_ideals(semigroup_new(range(17, 34)))) == IDEAL_BUDGET
     with pytest.raises(EnumerationCapExceededError, match="more than 65536 ideals exceed the ideal budget 65536"):
         enumerate_normalized_ideals(semigroup_new(range(18, 36)))
+
+
+def test_the_ideal_budget_admits_exactly_its_count(monkeypatch):
+    """A semigroup with k normalized ideals passes a budget of k and is
+    refused at k - 1, with the text of the full-size refusal."""
+    for gens in ((3, 4, 5), (5, 12), (2, 45), tuple(range(6, 12))):
+        sgp = semigroup_new(gens)
+        k = len(enumerate_normalized_ideals(sgp))
+        monkeypatch.setattr(numsgp, "IDEAL_BUDGET", k)
+        assert len(enumerate_normalized_ideals(sgp)) == k
+        monkeypatch.setattr(numsgp, "IDEAL_BUDGET", k - 1)
+        refusal = f"^more than {k - 1} ideals exceed the ideal budget {k - 1}$"
+        with pytest.raises(EnumerationCapExceededError, match=refusal):
+            enumerate_normalized_ideals(sgp)
+        monkeypatch.undo()
 
 
 def test_enumerated_ideals_are_normalized_and_closed():

@@ -63,7 +63,7 @@ PINNED = {
     "finalg.is_isomorphic.calls": 29,
     "linalg.is_invertible.calls": 44,
     "numsgp.gaps_built": 28,
-    "numsgp.ideals_found": 55,
+    "numsgp.ideals_found": 50,  # 45 over the catalog's semigroups, 5 for <3,4>: --suite all enumerates once
 }
 
 

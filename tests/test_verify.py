@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracelab
+from tracelab import verify
 from tracelab.finalg import FinAlgebra, HomBasis, algebra_from_presentation, product_algebra
 from tracelab.numsgp import (
     is_translate,
@@ -29,6 +31,7 @@ from tracelab.verify import (
     run_catalog,
     run_identity_suite,
     run_semigroup_lp_suite,
+    run_suites,
 )
 
 
@@ -131,6 +134,51 @@ def test_semigroup_witness_replays():
     recomputed = trace(replayed)
     assert recomputed.format() == witness["trace"]
     assert is_translate(replayed, recomputed).offset is None
+
+
+def _count_semigroup_work(monkeypatch):
+    """From then on, the ideal lists that verify's enumerate_normalized_ideals
+    returns, and a Counter of verify's trace calls by id of the argument.
+    Every argument is kept alive, so that no id is reused."""
+    enumerations, traced, arguments = [], collections.Counter(), []
+    enumerate_ideals, trace_of = verify.enumerate_normalized_ideals, verify.trace
+
+    def counted_enumeration(*args):
+        enumerations.append(enumerate_ideals(*args))
+        return enumerations[-1]
+
+    def counted_trace(ideal):
+        arguments.append(ideal)
+        traced[id(ideal)] += 1
+        return trace_of(ideal)
+
+    monkeypatch.setattr(verify, "enumerate_normalized_ideals", counted_enumeration)
+    monkeypatch.setattr(verify, "trace", counted_trace)
+    return enumerations, traced
+
+
+@pytest.mark.parametrize(
+    "gens, ideals, distinct_traces",
+    [((3, 4), 5, 4), ((5, 12), 364, 123), ((3, 4, 5), 4, 2)],
+    ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else str(value),
+)
+def test_suite_all_enumerates_once_and_traces_each_ideal_once(monkeypatch, gens, ideals, distinct_traces):
+    enumerations, traced = _count_semigroup_work(monkeypatch)
+    run_suites(semigroup_new(gens), "all")
+    [found] = enumerations
+    assert len(found) == ideals
+    assert [traced[id(e)] for e in found] == [1] * ideals
+    # The other calls: trace-idempotence traces each distinct trace once, and
+    # the identity suite traces the maximal ideal and, in its two
+    # endomorphism-ring checks, the endomorphism ideals of S and of m.
+    assert sum(traced.values()) == ideals + distinct_traces + 1 + 2
+
+
+def test_catalog_enumerates_each_semigroup_once(monkeypatch):
+    enumerations, traced = _count_semigroup_work(monkeypatch)
+    run_catalog("all")
+    assert len(enumerations) == 9  # the lp and identity suites of a semigroup share one table
+    assert all(traced[id(e)] == 1 for found in enumerations for e in found)
 
 
 # --- identity suites ---------------------------------------------------------------
@@ -357,6 +405,19 @@ _REPORTS = st.builds(
 @given(st.lists(_REPORTS, max_size=2))
 def test_json_emission_is_byte_identical_to_json_dumps(reports):
     _assert_emitted_as_by_json_dumps(reports)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=6)
+    | st.dictionaries(st.integers() | st.booleans(), _SCALARS, min_size=1, max_size=4),
+    st.integers(0, 6),
+)
+def test_a_witness_of_scalars_is_written_as_json_dumps_writes_it(witness, depth):
+    """The one-join writer of str, int, bool and None values, and the C
+    encoder it hands a float to, at each nesting depth."""
+    expected = json.dumps(witness, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    assert verify._to_json(witness, depth) == expected
 
 
 def test_an_unknown_format_is_refused():
